@@ -16,8 +16,8 @@ node where both ran gets its interval shrunk and the other grown
 pass the KKT check; a failed QP falls back to the LP and then to the parent
 bound.  MaxIter solutions never fathom; their Lagrangian dual bound may.
 
-Every run is single-threaded and deterministic for a fixed (problem, config,
-seed): the trace (one record per node) and result are bit-reproducible.
+Every run is single-threaded and deterministic for a fixed (problem, config):
+the trace (one record per node) and result are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from . import branching, linalg, qpsolve
 from .problem import ProblemInstance, check_feasibility, evaluate_objective
 from .relaxation import (
+    CONVEX_TOL,
     KIND_NONE,
     NodeInfeasible,
     NodeRestriction,
@@ -39,10 +40,8 @@ from .relaxation import (
     SpectralShift,
     build_mccormick_relaxation,
     build_spectral_relaxation,
-    compute_shift_at_delta,
-    compute_shift_eig,
     compute_shift_eigz_approx,
-    compute_shift_geig,
+    shift_for_mode,
     restrict,
     root_restriction,
 )
@@ -61,7 +60,6 @@ STATUS_TIME_LIMIT = "time_limit"
 STATUS_NODE_LIMIT = "node_limit"
 STATUS_INFEASIBLE = "infeasible"
 
-CONVEX_NODE_TOL = 1e-10
 TINY_BOX = 1e-9
 GAP_FLOOR = 1e-3
 BOUND_GUARD = 1e-9     # subtracted (relative) from solved objectives before fathoming
@@ -90,7 +88,6 @@ class SolverConfig:
     sel_omega_lp_max: float = 1000.0
     sel_omega_qp_max: float = 10.0
     sel_abs_tol: float = 1e-3
-    seed: int = 0
     keep_trace: bool = True
 
     def __post_init__(self):
@@ -260,42 +257,29 @@ class _Engine:
 
     # ------------------------------------------------------------- relaxation
 
-    def _qp_shift(self, R: Restricted) -> SpectralShift:
-        mode = self.config.relaxation
-        if mode == MODE_EIG:
-            return compute_shift_eig(R.Qb)
-        if mode == MODE_GEIG:
-            return compute_shift_geig(R.Qb, R.Ab)
-        # eigz and the AUTO qp class: delta pencil with the root's delta
-        if R.Ab.size == 0:
-            return compute_shift_eig(R.Qb)
-        if self.root_delta is None:
-            shift, trace = compute_shift_eigz_approx(
+    def _qp_shift(self, R: Restricted, pair: linalg.EigenPair) -> SpectralShift:
+        cfg = self.config
+        if self.root_delta is None and cfg.relaxation in (MODE_EIGZ, MODE_AUTO) and R.Ab.size:
+            # the first shifted node with equality rows fixes delta for the run
+            shift, self.delta_trace = compute_shift_eigz_approx(
                 R.Qb,
                 R.Ab,
-                sigma=self.config.delta_sigma,
-                max_iter=self.config.delta_max_iter,
-                rel_tol=self.config.delta_rel_tol,
+                sigma=cfg.delta_sigma,
+                max_iter=cfg.delta_max_iter,
+                rel_tol=cfg.delta_rel_tol,
             )
             self.root_delta = shift.delta
-            self.delta_trace = trace
             return shift
-        return compute_shift_at_delta(R.Qb, R.Ab, self.root_delta)
+        return shift_for_mode(cfg.relaxation, R.Qb, R.Ab, self.root_delta, pair)
 
-    def _convex_shift(self, R: Restricted):
+    def _convex_shift(self, R: Restricted, pair: linalg.EigenPair) -> SpectralShift | None:
         """Zero shift when the node is convex (box, or on the equality
-        nullspace); returns (shift, nullspace_flag) or None."""
-        pair = linalg.sym_eig_min(R.Qb)
-        if pair.value >= -CONVEX_NODE_TOL:
-            return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector), False
-        if R.Ab.shape[0]:
+        nullspace), else None; `pair` is the smallest eigenpair of R.Qb."""
+        convex = pair.value >= -CONVEX_TOL
+        if not convex and R.Ab.shape[0]:
             Z = linalg.nullspace_basis(R.Ab)
-            if Z.shape[1] == 0:
-                return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector), True
-            zpair = linalg.sym_eig_min(Z.T @ R.Qb @ Z)
-            if zpair.value >= -CONVEX_NODE_TOL:
-                return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector), True
-        return None
+            convex = Z.shape[1] == 0 or linalg.sym_eig_min(Z.T @ R.Qb @ Z).value >= -CONVEX_TOL
+        return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector) if convex else None
 
     def _accept(self, model, sol):
         """KKT-gate a solved relaxation; returns a safe lower bound value and
@@ -320,19 +304,20 @@ class _Engine:
             return None, (sol.x[: model.x_dim] if sol.x is not None else None)
         raise NodeInfeasible("relaxation certified the node empty")
 
-    def _solve_qp(self, entry, R):
-        conv = self._convex_shift(R)
-        if conv is not None:
-            shift, ns_flag = conv
+    def _solve_qp(self, entry, R, pair=None, shift=None):
+        """Bound the node by its spectral QP.  `pair` (the smallest eigenpair
+        of R.Qb) and `shift` (its convexity test's zero shift) are passed by a
+        caller that already ran the test."""
+        if pair is None:
+            pair = linalg.sym_eig_min(R.Qb)
+            shift = self._convex_shift(R, pair)
+        if shift is not None:
             self.stats["convex_nodes"] += 1
-            model = build_spectral_relaxation(
-                self.problem, entry.node, shift, restricted=R, nullspace_convex=ns_flag
-            )
         else:
-            shift = self._qp_shift(R)
-            model = build_spectral_relaxation(
-                self.problem, entry.node, shift, restricted=R
-            )
+            shift = self._qp_shift(R, pair)
+        model = build_spectral_relaxation(
+            self.problem, entry.node, shift, restricted=R, qb_min=pair.value
+        )
         self.stats["qp_solves"] += 1
         sol = qpsolve.solve_convex_qp(model)
         bound, x = self._accept(model, sol)
@@ -350,10 +335,10 @@ class _Engine:
         NodeInfeasible when any relaxation certifies emptiness."""
         cfg = self.config
         if cfg.relaxation == MODE_MCCORMICK:
-            conv = self._convex_shift(R)
-            if conv is not None:
-                bound, x, shift, kind = self._solve_qp(entry, R)
-                return bound, x, shift, kind
+            pair = linalg.sym_eig_min(R.Qb)
+            convex = self._convex_shift(R, pair)
+            if convex is not None:
+                return self._solve_qp(entry, R, pair, convex)
             bound, x = self._solve_lp(entry, R)
             return bound, x, None, "mccormick"
         if cfg.relaxation != MODE_AUTO:
@@ -403,7 +388,16 @@ class _Engine:
         return f_lp, x_lp if x_lp is not None else x_qp, shift, "mccormick"
 
 
-def _branch_children(problem, config, entry, R, x_rel, shift, engine):
+def _fixed_child(node: NodeRestriction, idx: int, value: float) -> NodeRestriction:
+    """The child of `node` with variable `idx` fixed to `value`."""
+    fixed = dict(node.fixed)
+    fixed[idx] = value
+    keep = tuple(i for i in node.free if i != idx)
+    mask = [s for s, i in enumerate(node.free) if i != idx]
+    return NodeRestriction(free=keep, fixed=fixed, lb=node.lb[mask], ub=node.ub[mask])
+
+
+def _branch_children(problem, config, entry, R, x_rel, shift):
     """Create child restrictions; returns (children, branch_index) or None
     when the node cannot be split further."""
     node = entry.node
@@ -436,18 +430,7 @@ def _branch_children(problem, config, entry, R, x_rel, shift, engine):
         t = local[idx]
         lo, up = node.lb[t], node.ub[t]
         if binary or (lo == 0.0 and up == 1.0):
-            children = []
-            for v in (0.0, 1.0):     # 0-child first
-                fixed = dict(node.fixed)
-                fixed[idx] = v
-                keep = tuple(i for i in free if i != idx)
-                mask = [s for s, i in enumerate(free) if i != idx]
-                children.append(
-                    NodeRestriction(
-                        free=keep, fixed=fixed, lb=node.lb[mask], ub=node.ub[mask]
-                    )
-                )
-            return children, idx
+            return [_fixed_child(node, idx, v) for v in (0.0, 1.0)], idx   # 0-child first
         v = float(np.clip(x_rel[t], lo, up))
         split = math.floor(v + 1e-9)
         split = int(np.clip(split, math.ceil(lo), math.floor(up) - 1))
@@ -456,15 +439,7 @@ def _branch_children(problem, config, entry, R, x_rel, shift, engine):
             if new_lo > new_up + 1e-12:
                 continue
             if new_lo == new_up:
-                fixed = dict(node.fixed)
-                fixed[idx] = new_lo
-                keep = tuple(i for i in free if i != idx)
-                mask = [s for s, i in enumerate(free) if i != idx]
-                children.append(
-                    NodeRestriction(
-                        free=keep, fixed=fixed, lb=node.lb[mask], ub=node.ub[mask]
-                    )
-                )
+                children.append(_fixed_child(node, idx, new_lo))
             else:
                 lb, ub = node.lb.copy(), node.ub.copy()
                 lb[t], ub[t] = new_lo, new_up
@@ -496,7 +471,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
 
     f_ubd = math.inf
     x_best = None
-    f_lbd_run = -math.inf
+    lbd_closed = math.inf      # lowest bound over the nodes closed so far
     trace = [] if cfg.keep_trace else None
     order = 0
     heap = []
@@ -518,6 +493,23 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 }
             )
 
+    def close(entry, bound, kind, action):
+        """End the node; `bound` (None for an empty node) bounds its subtree."""
+        nonlocal lbd_closed
+        if bound is not None:
+            lbd_closed = min(lbd_closed, bound)
+        record(entry, bound, kind, None, action)
+
+    def fathom(entry, bound, kind, action) -> bool:
+        """Close the node when its bound cannot beat the incumbent by more
+        than abs_tol or rel_tol."""
+        if bound >= f_ubd - cfg.abs_tol or (
+            math.isfinite(f_ubd) and relative_gap(f_ubd, bound) <= 100.0 * cfg.rel_tol
+        ):
+            close(entry, bound, kind, action)
+            return True
+        return False
+
     def try_incumbent(val, x):
         nonlocal f_ubd, x_best
         if val < f_ubd - 1e-12:
@@ -525,6 +517,14 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             x_best = x
             return True
         return False
+
+    def decide_by_center(entry, bound, kind):
+        """A collapsed or unsplittable box: its center is the only candidate."""
+        node = entry.node
+        x = _assemble_full(problem, node, 0.5 * (node.lb + node.ub))
+        if check_feasibility(problem, x).feasible:
+            try_incumbent(evaluate_objective(problem, x), x)
+        close(entry, bound, kind, "fathom_tiny_box")
 
     while heap:
         if cfg.time_limit is not None and time.monotonic() - t0 > cfg.time_limit:
@@ -535,13 +535,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             break
         _, _, entry = heapq.heappop(heap)
         nodes_done += 1
-        f_lbd_run = max(f_lbd_run, entry.bound)
 
-        if entry.bound >= f_ubd - cfg.abs_tol or (
-            math.isfinite(f_ubd)
-            and relative_gap(f_ubd, entry.bound) <= 100.0 * cfg.rel_tol
-        ):
-            record(entry, entry.bound, None, None, "fathom_inherited")
+        if fathom(entry, entry.bound, None, "fathom_inherited"):
             continue
 
         node = entry.node
@@ -552,26 +547,21 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 val = evaluate_objective(problem, x)
                 if try_incumbent(val, x):
                     eng.stats["heuristic_hits"] += 1
-                record(entry, val, None, None, "leaf")
+                close(entry, val, None, "leaf")
             else:
-                record(entry, None, None, None, "fathom_infeasible")
+                close(entry, None, None, "fathom_infeasible")
             continue
 
         R = restrict(problem, node)
         unfixed_int = any(i in problem.integers for i in node.free)
-        # collapsed continuous box: bound by the center value and fathom
         if not unfixed_int and float(np.max(node.ub - node.lb)) <= TINY_BOX:
-            center = 0.5 * (node.lb + node.ub)
-            x = _assemble_full(problem, node, center)
-            if check_feasibility(problem, x).feasible:
-                try_incumbent(evaluate_objective(problem, x), x)
-            record(entry, entry.bound, None, None, "fathom_tiny_box")
+            decide_by_center(entry, entry.bound, None)
             continue
 
         try:
             bound, x_rel, shift, kind = eng.lower_bound(entry, R)
         except NodeInfeasible:
-            record(entry, None, None, None, "fathom_infeasible")
+            close(entry, None, None, "fathom_infeasible")
             continue
         node_bound = entry.bound if bound is None else max(entry.bound, bound)
 
@@ -581,23 +571,14 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 try_incumbent(*cand)
                 eng.stats["heuristic_hits"] += 1
 
-        if node_bound >= f_ubd - cfg.abs_tol or (
-            math.isfinite(f_ubd)
-            and relative_gap(f_ubd, node_bound) <= 100.0 * cfg.rel_tol
-        ):
-            record(entry, node_bound, kind, None, "fathom_bound")
+        if fathom(entry, node_bound, kind, "fathom_bound"):
             continue
 
         if x_rel is None:
             x_rel = 0.5 * (node.lb + node.ub)
-        made = _branch_children(problem, cfg, entry, R, x_rel, shift, eng)
+        made = _branch_children(problem, cfg, entry, R, x_rel, shift)
         if made is None:
-            # no splittable direction left; the box center decides the node
-            center = 0.5 * (node.lb + node.ub)
-            x = _assemble_full(problem, node, center)
-            if check_feasibility(problem, x).feasible:
-                try_incumbent(evaluate_objective(problem, x), x)
-            record(entry, node_bound, kind, None, "fathom_tiny_box")
+            decide_by_center(entry, node_bound, kind)
             continue
         children, branch_var = made
         record(entry, node_bound, kind, branch_var, "branch")
@@ -610,14 +591,12 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
 
     if status is None:
         status = STATUS_OPTIMAL if x_best is not None else STATUS_INFEASIBLE
-
-    if heap:
-        f_lbd = min(min(b for b, _, _ in heap), f_ubd)
-    elif status == STATUS_OPTIMAL:
-        f_lbd = min(max(f_lbd_run, f_ubd - cfg.abs_tol), f_ubd)
+    if status == STATUS_INFEASIBLE:
+        f_lbd = gap = math.inf       # nothing to bound
     else:
-        f_lbd = math.inf       # infeasible: nothing to bound
-    gap = relative_gap(f_ubd, f_lbd) if status != STATUS_INFEASIBLE else math.inf
+        # open nodes and every closed subtree bound the optimum from below
+        f_lbd = min(min((b for b, _, _ in heap), default=math.inf), lbd_closed, f_ubd)
+        gap = relative_gap(f_ubd, f_lbd)
 
     stats = dict(eng.stats)
     stats["selection_omega_lp"] = eng.selection.omega_lp

@@ -10,7 +10,8 @@ Subcommands
     gen <family>             write random instances as JSON files
 
 Exit codes: 0 optimal / normal completion, 2 time or node limit, 3 infeasible,
-1 any error.  Set SPECTRAL_MIQP_LOG to error|info|debug to control logging.
+1 any error, including command-line usage errors.  Set SPECTRAL_MIQP_LOG to
+error|info|debug to control logging.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from .relaxation import (
     build_separable_relaxation,
     build_spectral_relaxation,
     compute_shift_eig,
-    compute_shift_eigz_approx,
-    compute_shift_geig,
+    shift_for_mode,
     restrict,
     root_restriction,
 )
@@ -114,14 +114,7 @@ def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
     method = method.lower()
     try:
         if method in ("eig", "geig", "eigz"):
-            if method == "eig":
-                shift = compute_shift_eig(R.Qb)
-            elif method == "geig":
-                shift = compute_shift_geig(R.Qb, R.Ab)
-            elif R.Ab.size:
-                shift, _ = compute_shift_eigz_approx(R.Qb, R.Ab)
-            else:
-                shift = compute_shift_eig(R.Qb)
+            shift = shift_for_mode(method, R.Qb, R.Ab)
             model = build_spectral_relaxation(problem, node, shift, restricted=R)
             sol = qpsolve.solve_convex_qp(model)
         elif method == "mccormick":
@@ -186,7 +179,6 @@ def cmd_solve(args) -> int:
         abs_tol=args.abs_tol,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        seed=args.seed,
         keep_trace=True,
     )
     log.info("solving %s with relax=%s branch=%s", problem.name, args.relax, args.branch)
@@ -325,8 +317,17 @@ def cmd_generate(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting with argparse's code 2, which
+    is EXIT_LIMIT here; main() reports them with EXIT_ERROR."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectralqp",
         description="Spectral branch-and-bound for nonconvex QP/MIQP",
     )
@@ -349,9 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--abs-tol", type=float, default=1e-6)
     p_solve.add_argument("--time-limit", type=float, default=None)
     p_solve.add_argument("--node-limit", type=int, default=None)
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--trace", default=None, help="write node trace (JSON lines)")
-    p_solve.add_argument("--jobs", type=int, default=1, help="accepted; solve is single-threaded")
     p_solve.set_defaults(func=cmd_solve)
 
     p_gaps = sub.add_parser("root-gaps", help="root relaxation comparison CSV")
@@ -391,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

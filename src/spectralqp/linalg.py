@@ -1,33 +1,24 @@
 """Dense symmetric linear algebra used by the relaxations and branching rules:
-minimum eigenpairs, Cholesky factors, symmetric-definite pencils, orthonormal
-nullspace bases, and Gershgorin-style lower bounds.
+minimum eigenpairs, symmetric-definite pencils, orthonormal nullspace bases,
+and Gershgorin-style lower bounds.
 
-Instances here are desk scale (n up to a few hundred), so everything is dense.
-Eigendecompositions delegate to LAPACK via numpy; the Cholesky factorization
-is written out so that failure reports the exact offending pivot.
+Instances here are desk scale (n up to a few hundred), so everything is dense
+and every factorization and eigensolve is a LAPACK call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 EIG_TOL = 1e-10        # residual guarantee for eigenpairs
-PIVOT_TOL = 1e-12      # positive-definiteness threshold for Cholesky pivots
 RANK_TOL = 1e-10       # relative rank threshold for nullspace bases
 
 
 class NotPositiveDefinite(ArithmeticError):
-    """Cholesky pivot at or below PIVOT_TOL.  `order` is the 1-based order of
-    the offending leading minor (LAPACK convention)."""
-
-    def __init__(self, order: int, pivot: float):
-        super().__init__(f"leading minor of order {order} is not positive definite (pivot {pivot:.3e})")
-        self.order = order
-        self.pivot = pivot
+    """The right-hand matrix of a pencil is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -77,36 +68,21 @@ def sym_eig_all(M) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def cholesky(N) -> np.ndarray:
-    """Lower-triangular L with N = L L'.  Raises NotPositiveDefinite as soon
-    as a pivot falls to PIVOT_TOL or below."""
-    N = check_symmetric(N, what="N")
-    t = N.shape[0]
-    L = np.zeros_like(N)
-    for j in range(t):
-        pivot = N[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= PIVOT_TOL:
-            raise NotPositiveDefinite(j + 1, float(pivot))
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < t:
-            L[j + 1 :, j] = (N[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
 def gen_eig_min(M, N) -> EigenPair:
     """Smallest eigenvalue lambda of the pencil M v = lambda N v with N
-    positive definite, via the Cholesky reduction N = L L', a standard
-    eigensolve of inv(L) M inv(L'), and the back-transform v = inv(L') w.
-    The eigenvector is renormalized to unit 2-norm."""
+    positive definite, by one LAPACK symmetric-definite eigensolve.  The
+    eigenvector is renormalized to unit 2-norm.  Raises NotPositiveDefinite
+    when N is not positive definite."""
     M = check_symmetric(M, what="M")
-    L = cholesky(N)
-    Y = scipy.linalg.solve_triangular(L, M, lower=True)
-    S = scipy.linalg.solve_triangular(L, Y.T, lower=True)
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
-    v = scipy.linalg.solve_triangular(L.T, V[:, 0], lower=False)
-    v = _fix_sign(v / np.linalg.norm(v))
-    return EigenPair(float(w[0]), v)
+    N = check_symmetric(N, what="N")
+    try:
+        w, V = scipy.linalg.eigh(M, N, subset_by_index=[0, 0])
+    except np.linalg.LinAlgError as exc:
+        if "not positive definite" not in str(exc):
+            raise       # a convergence failure, not a property of N
+        raise NotPositiveDefinite(str(exc)) from None
+    v = V[:, 0]
+    return EigenPair(float(w[0]), _fix_sign(v / np.linalg.norm(v)))
 
 
 def nullspace_basis(A, rank_tol: float = RANK_TOL) -> np.ndarray:

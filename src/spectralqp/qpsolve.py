@@ -75,10 +75,6 @@ class KktReport:
     passed: bool
 
 
-def _as_float(a):
-    return np.asarray(a, dtype=float)
-
-
 def _interval_presolve(model: ConvexQpModel) -> bool:
     """Cheap emptiness certificate: row ranges of Az over the box.  Returns
     True when the model is provably infeasible."""

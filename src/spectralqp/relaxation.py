@@ -122,9 +122,11 @@ class SpectralShift:
     delta: float = 1.0
 
 
-def compute_shift_eig(Qb) -> SpectralShift:
-    """alpha_e = max(0, -lambda_min(Q))."""
-    pair = linalg.sym_eig_min(Qb)
+def compute_shift_eig(Qb, pair: linalg.EigenPair | None = None) -> SpectralShift:
+    """alpha_e = max(0, -lambda_min(Q)); `pair`, when given, is the smallest
+    eigenpair of Qb and spares the eigensolve."""
+    if pair is None:
+        pair = linalg.sym_eig_min(Qb)
     return SpectralShift(KIND_EIG, max(0.0, -pair.value), pair.value, pair.vector)
 
 
@@ -189,6 +191,29 @@ def compute_shift_eigz_approx(
     return shift, trace
 
 
+def shift_for_mode(
+    mode: str,
+    Qb,
+    Ab,
+    delta: float | None = None,
+    pair: linalg.EigenPair | None = None,
+) -> SpectralShift:
+    """The node shift of a spectral relaxation mode: 'eig' gives alpha_e,
+    'geig' alpha_g, and 'eigz' (also the QP class of 'auto') alpha(delta) at
+    the given delta, or at the delta of the geometric search when delta is
+    None.  Without equality rows 'eigz' and 'auto' fall back to alpha_e.
+    `pair` is the smallest eigenpair of Qb when the caller already has it."""
+    if mode == "geig":
+        return compute_shift_geig(Qb, Ab)
+    if mode in ("eigz", "auto") and np.size(Ab):
+        if delta is None:
+            return compute_shift_eigz_approx(Qb, Ab)[0]
+        return compute_shift_at_delta(Qb, Ab, delta)
+    if mode in ("eig", "eigz", "auto"):
+        return compute_shift_eig(Qb, pair)
+    raise ValueError(f"no spectral shift for mode {mode!r}")
+
+
 def envelope_concave_square(l: float, u: float) -> tuple[float, float]:
     """Coefficients (slope, offset) of the concave envelope of x^2 on [l, u]:
     the secant (l + u) x - l u, which dominates x^2 on the interval."""
@@ -248,12 +273,18 @@ def build_spectral_relaxation(
     node: NodeRestriction,
     shift: SpectralShift,
     restricted: Restricted | None = None,
-    nullspace_convex: bool | None = None,
+    qb_min: float | None = None,
 ) -> ConvexQpModel:
     """Assemble the convex QP for a spectral shift.  The generalized (geig)
     kind keeps its equality-residual quadratic alpha*(x'A'Ax - 2 b'Ax + b'b);
     every other kind uses the plain diagonal form, where delta influences the
-    model only through alpha."""
+    model only through alpha.
+
+    The model is flagged nullspace convex when its Q is indefinite: for an
+    eigz shift with equality rows when lambda_min(Qb) + alpha < -PSD_SLACK
+    (`qb_min` is lambda_min(Qb) when the caller already has it), and for a
+    zero shift on an indefinite Qb, which is only issued to nodes that are
+    convex on the equality nullspace."""
     R = restricted if restricted is not None else restrict(problem, node)
     nb = R.Qb.shape[0]
     a = shift.alpha
@@ -267,10 +298,12 @@ def build_spectral_relaxation(
         Qhat = R.Qb + a * np.eye(nb)
         qhat = R.qb - a * (l + u)
         offset = a * float(l @ u) + R.const
-        if nullspace_convex is not None:
-            ns_convex = nullspace_convex
+        if shift.kind == KIND_NONE:
+            ns_convex = shift.lam < -CONVEX_TOL
         elif shift.kind in (KIND_EIGZ, KIND_EIGZ_EXACT) and R.Ab.size:
-            ns_convex = linalg.sym_eig_min(Qhat).value < -PSD_SLACK
+            if qb_min is None:
+                qb_min = linalg.sym_eig_min(R.Qb).value
+            ns_convex = qb_min + a < -PSD_SLACK
         else:
             ns_convex = False
     return ConvexQpModel(

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spectralqp import bnb
+from spectralqp import bnb, linalg
 from spectralqp.bnb import (
     SelectionState,
     SolverConfig,
@@ -230,6 +230,62 @@ def test_trace_one_record_per_node():
     json.dumps(res.trace)   # line-serializable
 
 
+def test_lower_bound_below_every_closed_node():
+    # a 1e5 scale makes rel_tol fathom nodes far below f_ubd - abs_tol; the
+    # reported bound must stay under each of them, at optimality and at a limit
+    base = generate_random(GeneratorSpec(family="boxqp", n=6, density=0.5, seed=1))
+    prob = box_problem(1e5 * base.Q, 1e5 * base.q, base.lb, base.ub)
+    for cfg in (SolverConfig(relaxation="eig"), SolverConfig(relaxation="eig", node_limit=40)):
+        res = solve(prob, cfg)
+        closed = [
+            rec["bound"]
+            for rec in res.trace
+            if rec["action"] != "branch" and rec["bound"] is not None
+        ]
+        assert closed
+        assert res.f_lbd <= min(closed)
+        assert res.f_lbd <= res.f_ubd
+
+
+def _eig_calls_per_bound(monkeypatch, problem, mode):
+    """(sym_eig_min, gen_eig_min) calls made while bounding each node."""
+    counts = {"sym_eig_min": 0, "gen_eig_min": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(linalg, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    per_node = []
+    lower_bound = bnb._Engine.lower_bound
+
+    def counted_bound(self, entry, R):
+        before = dict(counts)
+        try:
+            return lower_bound(self, entry, R)
+        finally:
+            per_node.append(tuple(counts[k] - before[k] for k in counts))
+
+    monkeypatch.setattr(bnb._Engine, "lower_bound", counted_bound)
+    res = solve(problem, SolverConfig(relaxation=mode))
+    assert res.status == "optimal"
+    assert len(per_node) > 1
+    return per_node
+
+
+def test_one_eigensolve_per_node_in_eig_mode(monkeypatch):
+    prob = generate_random(GeneratorSpec(family="boxqp", n=5, density=0.5, seed=1))
+    assert set(_eig_calls_per_bound(monkeypatch, prob, "eig")) == {(1, 0)}
+
+
+def test_eigz_node_eigen_work_bounded(monkeypatch):
+    prob = generate_random(GeneratorSpec(family="cbqp", n=8, density=0.5, k=2, seed=1))
+    per_node = _eig_calls_per_bound(monkeypatch, prob, "eigz")
+    # convexity test, nullspace test, one pencil at the root delta
+    for sym, gen in per_node[1:]:
+        assert sym <= 2 and gen <= 1
+
+
 def test_trace_disabled():
     prob = binary_problem([[2.0, -3.0], [-3.0, 2.0]])
     res = solve(prob, SolverConfig(keep_trace=False))
@@ -260,7 +316,7 @@ def test_determinism_bitwise():
     Q = (M + M.T) / 2
     q = rng.normal(size=7)
     prob = binary_problem(Q, q)
-    cfg = SolverConfig(relaxation="auto", seed=123)
+    cfg = SolverConfig(relaxation="auto")
     r1 = solve(prob, cfg)
     r2 = solve(prob, cfg)
     assert json.dumps(r1.trace) == json.dumps(r2.trace)

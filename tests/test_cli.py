@@ -100,6 +100,15 @@ def test_solve_node_limit_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "node_limit"
 
 
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # argparse's own code 2 would read as EXIT_LIMIT
+    assert main(["solve", "x.json", "--node-limit", "abc"]) == 1
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    path = write_instance(tmp_path, "inst", **binary_kwargs([[2.0, -3.0], [-3.0, 2.0]]))
+    assert main(["solve", str(path), "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_solve_writes_trace(tmp_path, capsys):
     path = write_instance(tmp_path, "inst", **binary_kwargs([[2.0, -3.0], [-3.0, 2.0]]))
     trace_path = tmp_path / "trace.jsonl"

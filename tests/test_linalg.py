@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from spectralqp.linalg import (
     EIG_TOL,
     NotPositiveDefinite,
-    cholesky,
     gct_lower_bound,
     gen_eig_min,
     nullspace_basis,
@@ -71,33 +70,6 @@ class TestSymEigMin:
             sym_eig_min([[np.nan, 0.0], [0.0, 1.0]])
 
 
-class TestCholesky:
-    def test_factorizes(self):
-        rng = np.random.default_rng(3)
-        for n in (1, 2, 6, 12):
-            B = rng.standard_normal((n, n))
-            N = B @ B.T + n * np.eye(n)
-            L = cholesky(N)
-            np.testing.assert_allclose(L @ L.T, N, atol=1e-10 * n)
-            assert np.allclose(L, np.tril(L))
-
-    def test_indefinite_reports_pivot(self):
-        # [[1,2],[2,1]] fails at the second pivot: 1 - 4 = -3
-        with pytest.raises(NotPositiveDefinite) as info:
-            cholesky([[1.0, 2.0], [2.0, 1.0]])
-        assert info.value.order == 2
-        assert info.value.pivot == pytest.approx(-3.0)
-
-    def test_first_pivot(self):
-        with pytest.raises(NotPositiveDefinite) as info:
-            cholesky([[-1.0]])
-        assert info.value.order == 1
-
-    def test_semidefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky([[1.0, 1.0], [1.0, 1.0]])
-
-
 class TestGenEigMin:
     def test_diagonal_pencil(self):
         # det(M - lam N) with M=diag(1,-1), N=diag(1,2): roots 1 and -1/2
@@ -138,6 +110,14 @@ class TestGenEigMin:
     def test_indefinite_n_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             gen_eig_min(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            gen_eig_min([[1.0]], [[-1.0]])
+
+    def test_semidefinite_n_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            gen_eig_min(np.eye(2), [[1.0, 1.0], [1.0, 1.0]])
 
 
 class TestNullspace:
