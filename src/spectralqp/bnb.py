@@ -12,9 +12,10 @@ In AUTO mode the engine arbitrates between the spectral QP and the McCormick
 LP with per-class solve intervals omega: a relaxation runs when at least
 omega nodes passed since it last ran, whichever bound proves stronger at a
 node where both ran gets its interval shrunk and the other grown
-(dynamic_selection_update).  Relaxation solutions are accepted only when they
-pass the KKT check; a failed QP falls back to the LP and then to the parent
-bound.  MaxIter solutions never fathom; their Lagrangian dual bound may.
+(dynamic_selection_update).  A node's bound is the certified `bound` of its
+relaxation solve (qpsolve owns the certificate); a QP without one falls back
+to the LP and then to the parent bound.  Relaxation solves stop at the time
+limit too, returning whatever bound they have certified by then.
 
 Every run is single-threaded and deterministic for a fixed (problem, config):
 the trace (one record per node) and result are bit-reproducible.
@@ -62,8 +63,18 @@ STATUS_INFEASIBLE = "infeasible"
 
 TINY_BOX = 1e-9
 GAP_FLOOR = 1e-3
-BOUND_GUARD = 1e-9     # subtracted (relative) from solved objectives before fathoming
 PG_STEPS = 100
+# ADMM iteration budget for node LPs; a truncated solve still certifies its
+# Lagrangian dual bound, so a modest cap just trades tightness for speed
+LP_MAX_ITER = 4000
+
+# dynamic_selection_update: the margin that makes a QP bound decisive, the
+# interval growth/shrink factors, and the interval ceilings
+SEL_ABS_TOL = 1e-3
+SEL_SIGMA_LP = 10.0
+SEL_SIGMA_QP = 2.0
+OMEGA_LP_MAX = 1000.0
+OMEGA_QP_MAX = 10.0
 
 
 @dataclass
@@ -74,20 +85,6 @@ class SolverConfig:
     abs_tol: float = 1e-6
     time_limit: float | None = None
     node_limit: int | None = None
-    kkt_tol: float = 1e-6
-    # ADMM iteration budget for node LPs; the box-absorbed dual bound keeps
-    # truncated solves safe, so a modest cap just trades tightness for speed
-    lp_max_iter: int = 4000
-    # delta search (root only)
-    delta_sigma: float = 10.0
-    delta_max_iter: int = 5
-    delta_rel_tol: float = 1e-3
-    # dynamic LP/QP selection
-    sel_sigma_lp: float = 10.0
-    sel_sigma_qp: float = 2.0
-    sel_omega_lp_max: float = 1000.0
-    sel_omega_qp_max: float = 10.0
-    sel_abs_tol: float = 1e-3
     keep_trace: bool = True
 
     def __post_init__(self):
@@ -110,25 +107,16 @@ class SelectionState:
     since_qp: int = 10**9
 
 
-def dynamic_selection_update(
-    state: SelectionState,
-    f_lp: float,
-    f_qp: float,
-    abs_tol: float = 1e-3,
-    sigma_lp: float = 10.0,
-    sigma_qp: float = 2.0,
-    omega_lp_max: float = 1000.0,
-    omega_qp_max: float = 10.0,
-) -> SelectionState:
+def dynamic_selection_update(state: SelectionState, f_lp: float, f_qp: float) -> SelectionState:
     """Rebalance the solve intervals after a node where both bounds exist:
     a decisively stronger QP bound makes the LP rarer and the QP (at least as)
     frequent; otherwise the LP gets more frequent and the QP rarer."""
-    if f_qp - f_lp >= abs_tol:
-        omega_qp = max(1.0, state.omega_qp / sigma_qp)
-        omega_lp = min(omega_lp_max, state.omega_lp * sigma_lp)
+    if f_qp - f_lp >= SEL_ABS_TOL:
+        omega_qp = max(1.0, state.omega_qp / SEL_SIGMA_QP)
+        omega_lp = min(OMEGA_LP_MAX, state.omega_lp * SEL_SIGMA_LP)
     else:
-        omega_lp = max(1.0, state.omega_lp / sigma_lp)
-        omega_qp = min(omega_qp_max, state.omega_qp * sigma_qp)
+        omega_lp = max(1.0, state.omega_lp / SEL_SIGMA_LP)
+        omega_qp = min(OMEGA_QP_MAX, state.omega_qp * SEL_SIGMA_QP)
     return replace(state, omega_lp=omega_lp, omega_qp=omega_qp)
 
 
@@ -240,9 +228,10 @@ def upper_bound_heuristic(
 
 
 class _Engine:
-    def __init__(self, problem: ProblemInstance, config: SolverConfig):
+    def __init__(self, problem: ProblemInstance, config: SolverConfig, deadline: float | None):
         self.problem = problem
         self.config = config
+        self.deadline = deadline      # time.monotonic() value ending every solve
         self.selection = SelectionState()
         self.root_delta: float | None = None
         self.delta_trace: list = []
@@ -261,13 +250,7 @@ class _Engine:
         cfg = self.config
         if self.root_delta is None and cfg.relaxation in (MODE_EIGZ, MODE_AUTO) and R.Ab.size:
             # the first shifted node with equality rows fixes delta for the run
-            shift, self.delta_trace = compute_shift_eigz_approx(
-                R.Qb,
-                R.Ab,
-                sigma=cfg.delta_sigma,
-                max_iter=cfg.delta_max_iter,
-                rel_tol=cfg.delta_rel_tol,
-            )
+            shift, self.delta_trace = compute_shift_eigz_approx(R.Qb, R.Ab)
             self.root_delta = shift.delta
             return shift
         return shift_for_mode(cfg.relaxation, R.Qb, R.Ab, self.root_delta, pair)
@@ -282,27 +265,19 @@ class _Engine:
         return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector) if convex else None
 
     def _accept(self, model, sol):
-        """KKT-gate a solved relaxation; returns a safe lower bound value and
-        the primal point, or (None, None) when unusable for fathoming."""
-        if sol.status == qpsolve.STATUS_OPTIMAL:
-            rep = qpsolve.verify_kkt(model, sol, kkt_tol=self.config.kkt_tol)
-            if rep.passed:
-                worst = max(
-                    rep.stationarity, rep.primal, rep.complementarity, rep.dual_violation
-                )
-                self.stats["max_accepted_kkt"] = max(
-                    self.stats["max_accepted_kkt"], worst
-                )
-                guard = BOUND_GUARD * (1.0 + abs(sol.objective))
-                return sol.objective - guard, sol.x[: model.x_dim]
+        """The certified bound of a relaxation solve (None when it has none)
+        and its point over the node's free variables; raises NodeInfeasible
+        when the solve certified the node empty."""
+        if sol.bound == math.inf:
+            raise NodeInfeasible("relaxation certified the node empty")
+        rep = sol.kkt
+        if rep is not None and rep.passed:
+            worst = max(rep.stationarity, rep.primal, rep.complementarity, rep.dual_violation)
+            self.stats["max_accepted_kkt"] = max(self.stats["max_accepted_kkt"], worst)
+        elif rep is not None:
             self.stats["kkt_discards"] += 1
-            return None, None
-        if sol.status == qpsolve.STATUS_MAXITER:
-            # never fathom on the iterate; the dual bound is safe when finite
-            if math.isfinite(sol.dual_bound):
-                return sol.dual_bound, sol.x[: model.x_dim] if sol.x is not None else None
-            return None, (sol.x[: model.x_dim] if sol.x is not None else None)
-        raise NodeInfeasible("relaxation certified the node empty")
+        bound = sol.bound if math.isfinite(sol.bound) else None
+        return bound, (sol.x[: model.x_dim] if sol.x is not None else None)
 
     def _solve_qp(self, entry, R, pair=None, shift=None):
         """Bound the node by its spectral QP.  `pair` (the smallest eigenpair
@@ -319,14 +294,14 @@ class _Engine:
             self.problem, entry.node, shift, restricted=R, qb_min=pair.value
         )
         self.stats["qp_solves"] += 1
-        sol = qpsolve.solve_convex_qp(model)
+        sol = qpsolve.solve_convex_qp(model, deadline=self.deadline)
         bound, x = self._accept(model, sol)
         return bound, x, shift, model.kind
 
     def _solve_lp(self, entry, R):
         model = build_mccormick_relaxation(self.problem, entry.node, restricted=R)
         self.stats["lp_solves"] += 1
-        sol = qpsolve.solve_lp(model, max_iter=self.config.lp_max_iter)
+        sol = qpsolve.solve_lp(model, max_iter=LP_MAX_ITER, deadline=self.deadline)
         bound, x = self._accept(model, sol)
         return bound, x
 
@@ -365,22 +340,8 @@ class _Engine:
             f_lp, x_lp = self._solve_lp(entry, R)
             since_lp = 0
         if f_qp is not None and f_lp is not None:
-            self.selection = replace(
-                dynamic_selection_update(
-                    sel,
-                    f_lp,
-                    f_qp,
-                    abs_tol=cfg.sel_abs_tol,
-                    sigma_lp=cfg.sel_sigma_lp,
-                    sigma_qp=cfg.sel_sigma_qp,
-                    omega_lp_max=cfg.sel_omega_lp_max,
-                    omega_qp_max=cfg.sel_omega_qp_max,
-                ),
-                since_lp=since_lp,
-                since_qp=since_qp,
-            )
-        else:
-            self.selection = replace(sel, since_lp=since_lp, since_qp=since_qp)
+            sel = dynamic_selection_update(sel, f_lp, f_qp)
+        self.selection = replace(sel, since_lp=since_lp, since_qp=since_qp)
         if f_qp is None and f_lp is None:
             return None, x_qp if x_qp is not None else x_lp, shift, kind or "none"
         if f_lp is None or (f_qp is not None and f_qp >= f_lp):
@@ -466,8 +427,8 @@ def _branch_children(problem, config, entry, R, x_rel, shift):
 def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
     """Globally minimize the instance by spectral branch-and-bound."""
     cfg = config if config is not None else SolverConfig()
-    eng = _Engine(problem, cfg)
     t0 = time.monotonic()
+    eng = _Engine(problem, cfg, None if cfg.time_limit is None else t0 + cfg.time_limit)
 
     f_ubd = math.inf
     x_best = None

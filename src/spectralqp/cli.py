@@ -106,9 +106,9 @@ def _load_instance(path: str) -> ProblemInstance:
 
 
 def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
-    """Root-node lower bound from one relaxation.  Returns nan when the
-    relaxation could not be solved to optimality (and has no usable dual
-    bound), +inf when it certifies infeasibility."""
+    """Root-node lower bound from one relaxation: the certified `bound` of
+    its solve, +inf when it certifies infeasibility, nan when it certifies
+    nothing."""
     node = root_restriction(problem)
     R = restrict(problem, node)
     method = method.lower()
@@ -127,11 +127,7 @@ def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
             raise ValueError(f"unknown relaxation {method!r}")
     except NodeInfeasible:
         return math.inf
-    if sol.status == qpsolve.STATUS_OPTIMAL:
-        return sol.objective
-    if sol.status == qpsolve.STATUS_INFEASIBLE:
-        return math.inf
-    return sol.dual_bound if math.isfinite(sol.dual_bound) else math.nan
+    return math.nan if sol.bound == -math.inf else sol.bound
 
 
 def _upper_bound_for(problem: ProblemInstance, budget_s: float):

@@ -84,11 +84,20 @@ class GeneratorSpec:
     int_bound: int = 5                # upper bound of integer variables (eiqp)
 
 
+def _as_floats(a, what: str) -> np.ndarray:
+    """Coerce to a float array, raising ProblemFormatError on anything that
+    is not a (nested) list of numbers."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{what} must be numeric, got {a!r:.60}") from exc
+
+
 def _as_rows(a, cols: int, what: str) -> np.ndarray:
     """Coerce to a (k, cols) float matrix; None or empty input gives k = 0."""
     if a is None:
         return np.zeros((0, cols))
-    out = np.asarray(a, dtype=float)
+    out = _as_floats(a, what)
     if out.size == 0:
         return np.zeros((0, cols))
     if out.ndim != 2 or out.shape[1] != cols:
@@ -97,7 +106,7 @@ def _as_rows(a, cols: int, what: str) -> np.ndarray:
 
 
 def _as_vector(a, size, what: str) -> np.ndarray:
-    out = np.asarray(a, dtype=float).reshape(-1)
+    out = _as_floats(a, what).reshape(-1)
     if out.shape != (size,):
         raise ProblemFormatError(f"{what} must have length {size}, got {out.shape[0]}")
     return out
@@ -121,7 +130,7 @@ def validate(
     SYMMETRY_WARN_TOL.  Raises ProblemFormatError on any violation."""
     if n <= 0:
         raise ProblemFormatError(f"need at least one variable, got n={n}")
-    Q = np.asarray(Q, dtype=float)
+    Q = _as_floats(Q, "Q")
     if Q.shape != (n, n):
         raise ProblemFormatError(f"Q must be ({n}, {n}), got {Q.shape}")
     if not np.all(np.isfinite(Q)):
@@ -161,7 +170,10 @@ def validate(
             f"l[{bad[0] + 1}] >= u[{bad[0] + 1}] ({lb[bad[0]]} >= {ub[bad[0]]})"
         )
 
-    integers = frozenset(int(i) for i in integers)
+    try:
+        integers = frozenset(int(i) for i in integers)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"integer indices must be integers, got {integers!r:.60}") from exc
     if integers and (min(integers) < 0 or max(integers) >= n):
         raise ProblemFormatError("integer index out of range")
 
@@ -229,6 +241,8 @@ def parse_json(text: str, name: str = "") -> ProblemInstance:
     n = doc["n"]
     if not isinstance(n, int) or n <= 0:
         raise ProblemFormatError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(doc["Q"], list):
+        raise ProblemFormatError(f"Q must be a list of [i, j, v] triplets, got {doc['Q']!r:.60}")
     Q = np.zeros((n, n))
     seen = set()
     for entry in doc["Q"]:
@@ -237,6 +251,8 @@ def parse_json(text: str, name: str = "") -> ProblemInstance:
         i, j, v = entry
         if not (isinstance(i, int) and isinstance(j, int)):
             raise ProblemFormatError(f"Q indices must be integers, got {entry!r}")
+        if not isinstance(v, (int, float)):
+            raise ProblemFormatError(f"Q values must be numbers, got {entry!r}")
         if not (1 <= i <= j <= n):
             raise ProblemFormatError(
                 f"Q entry ({i}, {j}) violates 1 <= i <= j <= {n}"
@@ -246,9 +262,11 @@ def parse_json(text: str, name: str = "") -> ProblemInstance:
         seen.add((i, j))
         Q[i - 1, j - 1] = v
         Q[j - 1, i - 1] = v
-    integers = [i - 1 for i in doc.get("integers", [])]
-    if any(not isinstance(i, int) or not (0 <= i < n) for i in integers):
-        raise ProblemFormatError("integers entries must be 1-based variable indices")
+    integers = doc.get("integers", [])
+    if not isinstance(integers, list) or any(
+        not isinstance(i, int) or not (1 <= i <= n) for i in integers
+    ):
+        raise ProblemFormatError("integers must be a list of 1-based variable indices")
     return validate(
         n=n,
         Q=Q,
@@ -259,7 +277,7 @@ def parse_json(text: str, name: str = "") -> ProblemInstance:
         d=doc.get("d"),
         lb=doc["l"],
         ub=doc["u"],
-        integers=integers,
+        integers=[i - 1 for i in integers],
         name=name,
     )
 

@@ -16,13 +16,14 @@ manifold) are solved in reduced coordinates x = x0 + Z z, where x0 is a least
 squares particular solution and Z an orthonormal nullspace basis; equality
 multipliers are then recovered by least squares on the stationarity residual.
 
-MaxIter results never certify a bound by themselves; callers may use the
-Lagrangian `dual_bound`, which is valid whenever finite.
+Every solution carries its one certified lower bound on the model optimum,
+`bound` (see solve_convex_qp); callers read it rather than the status.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ STATUS_MAXITER = "max_iter"
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_KKT_TOL = 1e-6
+BOUND_GUARD = 1e-9     # subtracted (relative) from KKT-certified objectives
 
 _SIGMA = 1e-6          # proximal regularization
 _ALPHA = 1.6           # over-relaxation
@@ -59,7 +61,8 @@ class QpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
-    dual_bound: float = -math.inf   # valid lower bound on the model optimum when finite
+    bound: float = -math.inf        # certified lower bound on the model optimum
+    kkt: KktReport | None = None    # verify_kkt report of an optimal solve
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class _Raw:
     rd: float
 
 
-def _polish(P, c, A, lo, hi, y, tol_scale):
+def _polish(P, c, A, lo, hi, y):
     """Direct KKT solve on the constraints the duals mark active.  Returns
     (x, y, z, rp, rd) or None when the linear solve fails outright."""
     m, n = A.shape
@@ -147,8 +150,9 @@ def _polish(P, c, A, lo, hi, y, tol_scale):
     return xp, yp, zp, rp, rd
 
 
-def _admm(P, c, A, lo, hi, tol, max_iter):
-    """Operator-splitting core; all arrays dense, dimensions desk scale."""
+def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
+    """Operator-splitting core; all arrays dense, dimensions desk scale.  Past
+    `deadline` (a time.monotonic() value) the run returns its best iterate."""
     m, n = A.shape
 
     # one-pass equilibration
@@ -223,6 +227,17 @@ def _admm(P, c, A, lo, hi, tol, max_iter):
         )
         return rp, sp, rd, sd
 
+    def polished(yu, it):
+        """The optimal result of polishing on the duals yu, or None when the
+        polished point misses the tolerance."""
+        pol = _polish(P, c, A, lo, hi, yu) if m else None
+        if pol is not None:
+            xp, yp, zp, rpp, rdp = pol
+            _, spp, _, sdp = residuals(xp, yp, zp)
+            if rpp <= tol * (1.0 + spp) and rdp <= tol * (1.0 + sdp):
+                return _Raw(STATUS_OPTIMAL, xp, yp, zp, it, rpp, rdp)
+        return None
+
     best = None
     it = 0
     while it < max_iter:
@@ -247,12 +262,9 @@ def _admm(P, c, A, lo, hi, tol, max_iter):
 
         near = rp <= 1e4 * tol_p and rd <= 1e4 * tol_d
         if (rp <= tol_p and rd <= tol_d) or near:
-            pol = _polish(P, c, A, lo, hi, yu, tol) if m else None
+            pol = polished(yu, it)
             if pol is not None:
-                xp, yp, zp, rpp, rdp = pol
-                _, spp, _, sdp = residuals(xp, yp, zp)
-                if rpp <= tol * (1.0 + spp) and rdp <= tol * (1.0 + sdp):
-                    return _Raw(STATUS_OPTIMAL, xp, yp, zp, it, rpp, rdp)
+                return pol
             if rp <= tol_p and rd <= tol_d:
                 return _Raw(STATUS_OPTIMAL, xu, yu, zu, it, rp, rd)
 
@@ -276,6 +288,9 @@ def _admm(P, c, A, lo, hi, tol, max_iter):
                         return _Raw(STATUS_INFEASIBLE, xu, yu, zu, it, rp, rd)
             y_mark = yu.copy()
 
+        if deadline is not None and time.monotonic() > deadline:
+            break
+
         # adapt the penalty to the residual balance
         if m:
             ratio = (rp / (1.0 + sp)) / max(rd / (1.0 + sd), 1e-16)
@@ -288,15 +303,13 @@ def _admm(P, c, A, lo, hi, tol, max_iter):
         xu, yu, zu = unscaled(x, y, z)
         rp, sp, rd, sd = residuals(xu, yu, zu)
         best = (math.inf, xu, yu, zu, rp, rd)
-    # out of iterations: last chance polish, then best iterate
-    pol = _polish(P, c, A, lo, hi, best[2], tol) if m else None
+    # out of iterations: last chance polish, then best iterate; out of time:
+    # best iterate only, as the polish is one dense KKT solve
+    pol = polished(best[2], it) if it >= max_iter else None
     if pol is not None:
-        xp, yp, zp, rpp, rdp = pol
-        _, spp, _, sdp = residuals(xp, yp, zp)
-        if rpp <= tol * (1.0 + spp) and rdp <= tol * (1.0 + sdp):
-            return _Raw(STATUS_OPTIMAL, xp, yp, zp, max_iter, rpp, rdp)
+        return pol
     _, xb, yb, zb, rpb, rdb = best
-    return _Raw(STATUS_MAXITER, xb, yb, zb, max_iter, rpb, rdb)
+    return _Raw(STATUS_MAXITER, xb, yb, zb, it, rpb, rdb)
 
 
 def _stack(model: ConvexQpModel):
@@ -386,35 +399,36 @@ def _infeasible(model: ConvexQpModel) -> QpSolution:
         iterations=0,
         primal_residual=math.inf,
         dual_residual=math.inf,
+        bound=math.inf,
     )
 
 
-def _solve_full(model: ConvexQpModel, tol, max_iter) -> QpSolution:
+def _split_duals(y, p: int):
+    """(mu, pi_l, pi_u) from the stacked multipliers of the rows [C; I]: p
+    inequality rows, then the box."""
+    ybox = y[p:]
+    return np.maximum(y[:p], 0.0), np.maximum(-ybox, 0.0), np.maximum(ybox, 0.0)
+
+
+def _solve_full(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
     n = model.nvar
     P = 2.0 * model.Q if model.Q is not None else np.zeros((n, n))
     A_s, lo, hi = _stack(model)
-    raw = _admm(P, model.q, A_s, lo, hi, tol, max_iter)
-    m, p = model.A.shape[0], model.C.shape[0]
-    nu = raw.y[:m]
-    mu = np.maximum(raw.y[m : m + p], 0.0)
-    ybox = raw.y[m + p :]
-    sol = QpSolution(
+    raw = _admm(P, model.q, A_s, lo, hi, tol, max_iter, deadline)
+    m = model.A.shape[0]
+    mu, pi_l, pi_u = _split_duals(raw.y[m:], model.C.shape[0])
+    return QpSolution(
         status=raw.status,
         x=raw.x,
         objective=_objective(model, raw.x),
-        nu=nu,
+        nu=raw.y[:m],
         mu=mu,
-        pi_l=np.maximum(-ybox, 0.0),
-        pi_u=np.maximum(ybox, 0.0),
+        pi_l=pi_l,
+        pi_u=pi_u,
         iterations=raw.iterations,
         primal_residual=raw.rp,
         dual_residual=raw.rd,
     )
-    if raw.status == STATUS_MAXITER:
-        sol.dual_bound = _dual_bound(model, nu, mu, sol.pi_l, sol.pi_u)
-    elif raw.status == STATUS_OPTIMAL:
-        sol.dual_bound = sol.objective
-    return sol
 
 
 def _complete_nu(model: ConvexQpModel, x, mu, pi_l, pi_u) -> np.ndarray:
@@ -431,7 +445,7 @@ def _complete_nu(model: ConvexQpModel, x, mu, pi_l, pi_u) -> np.ndarray:
     return nu
 
 
-def _solve_reduced(model: ConvexQpModel, tol, max_iter) -> QpSolution:
+def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
     """Solve in x = x0 + Z z coordinates for models convex only on the
     nullspace of their equality system."""
     n = model.nvar
@@ -485,12 +499,11 @@ def _solve_reduced(model: ConvexQpModel, tol, max_iter) -> QpSolution:
         lons.insert(0, np.full(p, -math.inf))
         hins.insert(0, model.d - model.C @ x0)
     A_s = np.vstack(rows)
-    raw = _admm(Pz, cz, A_s, np.concatenate(lons), np.concatenate(hins), tol, max_iter)
+    raw = _admm(
+        Pz, cz, A_s, np.concatenate(lons), np.concatenate(hins), tol, max_iter, deadline
+    )
     x = x0 + Z @ raw.x
-    mu = np.maximum(raw.y[:p], 0.0) if p else np.zeros(0)
-    ybox = raw.y[p:]
-    pi_l = np.maximum(-ybox, 0.0)
-    pi_u = np.maximum(ybox, 0.0)
+    mu, pi_l, pi_u = _split_duals(raw.y, p)
     nu = _complete_nu(model, x, mu, pi_l, pi_u)
     grad = model.q + 2.0 * (Q @ x) + (model.C.T @ mu if p else 0.0) - pi_l + pi_u + A.T @ nu
     rp = max(
@@ -511,7 +524,6 @@ def _solve_reduced(model: ConvexQpModel, tol, max_iter) -> QpSolution:
         iterations=raw.iterations,
         primal_residual=rp,
         dual_residual=float(np.max(np.abs(grad), initial=0.0)),
-        dual_bound=_objective(model, x) if raw.status == STATUS_OPTIMAL else -math.inf,
     )
 
 
@@ -519,27 +531,44 @@ def solve_convex_qp(
     model: ConvexQpModel,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    deadline: float | None = None,
 ) -> QpSolution:
     """Solve a convex model to tolerance `tol` on the mixed absolute/relative
-    primal and dual residuals.  Statuses: optimal, infeasible, max_iter.
-    MaxIter solutions are best iterates and must not be used as bounds;
-    their `dual_bound` is safe whenever finite."""
+    primal and dual residuals.  Statuses: optimal, infeasible, max_iter (out
+    of iterations, or past `deadline`, a time.monotonic() value; x is then
+    the best iterate).  `bound` certifies the model optimum from below: +inf
+    for an infeasible model, the objective less BOUND_GUARD (relative) for an
+    optimal solve passing verify_kkt at DEFAULT_KKT_TOL, else the Lagrangian
+    bound at the returned multipliers, or -inf."""
     if _interval_presolve(model):
         return _infeasible(model)
-    if model.nullspace_convex and model.A.shape[0]:
-        return _solve_reduced(model, tol, max_iter)
-    return _solve_full(model, tol, max_iter)
+    reduced = model.nullspace_convex and model.A.shape[0] > 0
+    sol = (_solve_reduced if reduced else _solve_full)(model, tol, max_iter, deadline)
+    if sol.status == STATUS_INFEASIBLE:
+        sol.bound = math.inf
+        return sol
+    if sol.status == STATUS_OPTIMAL:
+        sol.kkt = verify_kkt(model, sol)
+        if sol.kkt.passed:
+            sol.bound = sol.objective - BOUND_GUARD * (1.0 + abs(sol.objective))
+            return sol
+    if not reduced:
+        # the Lagrangian bound needs Q convex in full space, which reduced
+        # models are not
+        sol.bound = _dual_bound(model, sol.nu, sol.mu, sol.pi_l, sol.pi_u)
+    return sol
 
 
 def solve_lp(
     model: ConvexQpModel,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    deadline: float | None = None,
 ) -> QpSolution:
     """Linear special case of solve_convex_qp (model.Q absent or zero)."""
     if model.Q is not None and np.any(model.Q):
         raise ValueError("solve_lp requires a linear objective")
-    return solve_convex_qp(model, tol=tol, max_iter=max_iter)
+    return solve_convex_qp(model, tol=tol, max_iter=max_iter, deadline=deadline)
 
 
 def verify_kkt(
@@ -590,25 +619,10 @@ def verify_kkt(
     )
 
     scale = 1.0 + max(
-        float(np.max(np.abs(model.Q), initial=0.0)) if model.Q is not None else 0.0,
-        float(np.max(np.abs(model.q), initial=0.0)),
-        float(np.max(np.abs(model.A), initial=0.0)) if model.A.shape[0] else 0.0,
-        float(np.max(np.abs(model.b), initial=0.0)) if model.A.shape[0] else 0.0,
-        float(np.max(np.abs(model.C), initial=0.0)) if model.C.shape[0] else 0.0,
-        float(np.max(np.abs(model.d), initial=0.0)) if model.C.shape[0] else 0.0,
-        float(np.max(np.abs(model.lb), initial=0.0)),
-        float(np.max(np.abs(model.ub), initial=0.0)),
-        float(np.max(np.abs(x), initial=0.0)),
-        float(np.max(np.abs(nu), initial=0.0)) if nu.size else 0.0,
-        float(np.max(np.abs(mu), initial=0.0)) if mu.size else 0.0,
-        float(np.max(np.abs(pi_l), initial=0.0)),
-        float(np.max(np.abs(pi_u), initial=0.0)),
+        float(np.max(np.abs(a), initial=0.0))
+        for a in (model.q, model.A, model.b, model.C, model.d, model.lb, model.ub,
+                  x, nu, mu, pi_l, pi_u, 0.0 if model.Q is None else model.Q)
     )
-    s, p_, c_, d_ = (
-        stationarity / scale,
-        primal / scale,
-        comp / scale,
-        dual_viol / scale,
-    )
+    s, p_, c_, d_ = (v / scale for v in (stationarity, primal, comp, dual_viol))
     passed = s <= kkt_tol and p_ <= kkt_tol and c_ <= kkt_tol and d_ <= kkt_tol
     return KktReport(s, p_, c_, d_, passed)

@@ -19,6 +19,7 @@ alpha_z <= alpha_g <= alpha_e, so the matching bounds tighten in that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -404,7 +405,8 @@ def build_separable_relaxation(
     each negative one by its secant lambda_i ((L_i + U_i) y_i - L_i U_i) over
     direction bounds [L_i, U_i].  The bounds come from minimizing and
     maximizing v_i'x over the node's feasible set with `lp_solve` (two LP
-    solves per kept direction); zero eigendirections are dropped.  Raises
+    solves per kept direction, each tightening the interval-arithmetic range
+    by its certified `bound`); zero eigendirections are dropped.  Raises
     NodeInfeasible when a direction LP certifies emptiness."""
     R = restricted if restricted is not None else restrict(problem, node)
     nb = R.Qb.shape[0]
@@ -435,16 +437,14 @@ def build_separable_relaxation(
                 ub=R.ub.copy(),
                 x_dim=nb,
             )
-            sol = lp_solve(lp)
-            if sol.status == "infeasible":
+            bound = lp_solve(lp).bound
+            if bound == math.inf:
                 raise NodeInfeasible("direction bound LP certified an empty node")
-            if sol.status == "optimal":
-                val = float(v @ sol.x)
-                if slot == "lo":
-                    lo = max(lo_iv, min(val, hi_iv))
-                else:
-                    hi = min(hi_iv, max(val, lo_iv))
-            # a non-optimal status keeps the safe interval-arithmetic bound
+            # min v'x >= bound and max v'x <= -bound; -inf keeps the interval
+            if slot == "lo":
+                lo = max(lo_iv, min(bound, hi_iv))
+            else:
+                hi = min(hi_iv, max(-bound, lo_iv))
         margin = 1e-7 * (1.0 + abs(lo) + abs(hi))
         L[t] = lo - margin
         U[t] = hi + margin

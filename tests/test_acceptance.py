@@ -36,6 +36,8 @@ from spectralqp.relaxation import (
     root_restriction,
 )
 
+pytestmark = pytest.mark.acceptance
+
 WORKED = validate(
     n=2,
     Q=np.diag([1.0, -1.0]),

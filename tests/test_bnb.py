@@ -3,9 +3,12 @@ selection-state dynamics, limits, and determinism."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralqp import bnb, linalg
 from spectralqp.bnb import (
@@ -345,6 +348,42 @@ def test_time_limit_reported():
     prob = binary_problem((M + M.T) / 2)
     res = solve(prob, SolverConfig(relaxation="eig", time_limit=0.0))
     assert res.status == "time_limit"
+
+
+@pytest.mark.parametrize("mode", ["auto", "mccormick"])
+def test_time_limit_holds_inside_a_node(mode):
+    # the root McCormick LP alone runs for about a second; the deadline must
+    # cut it short
+    prob = generate_random(GeneratorSpec(family="cbqp", n=24, k=6, seed=3))
+    t0 = time.monotonic()
+    res = solve(prob, SolverConfig(relaxation=mode, time_limit=0.05))
+    assert res.status == "time_limit"
+    assert time.monotonic() - t0 <= 0.05 + 0.25
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["boxqp", "cbqp"]),
+    st.integers(2, 8),
+    st.integers(0, 10_000),
+    st.sampled_from([1e-3, 1.0, 1e5]),
+    st.sampled_from(["eig", "eigz", "auto"]),
+)
+def test_bounds_bracket_optimum_under_scaling(family, n, seed, scale, mode):
+    if family == "boxqp":
+        spec = GeneratorSpec(family="boxqp", n=min(n, 5), seed=seed)
+    else:
+        spec = GeneratorSpec(family="cbqp", n=n, k=max(1, n // 3), seed=seed)
+    base = generate_random(spec)
+    prob = validate(
+        base.n, scale * base.Q, scale * base.q, A=base.A, b=base.b,
+        lb=base.lb, ub=base.ub, integers=base.integers,
+    )
+    ref = (enumerate_binary(prob) if prob.integers else enumerate_box_kkt(prob)).value
+    res = solve(prob, SolverConfig(relaxation=mode, keep_trace=False))
+    tol = 1e-9 * (1.0 + abs(ref))
+    assert res.f_lbd <= ref + tol
+    assert ref <= res.f_ubd + tol
 
 
 # -------------------------------------------------------- selection dynamics

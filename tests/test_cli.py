@@ -74,6 +74,23 @@ def test_solve_bad_json_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 2, "Q": 5, "l": [0, 0], "u": [1, 1]}',
+        '{"n": 2, "Q": [[1, 2, 1.0]], "l": [0, 0], "u": [1, 1], "integers": "ab"}',
+        '{"n": 2, "Q": [[1, 2, 1.0]], "l": {"a": 1}, "u": [1, 1]}',
+    ],
+)
+def test_solve_wrongly_typed_field_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "typed.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_solve_rejects_separable(tmp_path, capsys):
     path = write_instance(tmp_path, "inst", **binary_kwargs([[0.0, 1.0], [1.0, 0.0]]))
     code = main(["solve", str(path), "--relax", "separable"])

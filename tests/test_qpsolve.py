@@ -2,6 +2,8 @@
 verifier, and the reduced nullspace path."""
 
 import dataclasses
+import math
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +129,7 @@ def test_infeasible_equality_out_of_range():
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_INFEASIBLE
     assert sol.x is None
+    assert sol.bound == math.inf
 
 
 def test_infeasible_inequality_out_of_range():
@@ -153,6 +156,7 @@ def test_infeasible_joint_rows_certificate():
     )
     sol = qpsolve.solve_convex_qp(model, max_iter=20_000)
     assert sol.status == qpsolve.STATUS_INFEASIBLE
+    assert sol.bound == math.inf
 
 
 def test_reduced_inconsistent_equalities():
@@ -319,7 +323,7 @@ def test_kkt_flags_primal_violation():
 # -------------------------------------------------------- max_iter and bounds
 
 
-def test_max_iter_reports_dual_bound():
+def test_max_iter_bound_is_lagrangian_bound():
     # coefficients chosen so float stationarity cannot cancel to exactly zero,
     # making an impossible tolerance unreachable even for the polishing step
     model = make_model(
@@ -330,11 +334,12 @@ def test_max_iter_reports_dual_bound():
     assert ref.status == qpsolve.STATUS_OPTIMAL
     starved = qpsolve.solve_convex_qp(model, tol=1e-30, max_iter=25)
     assert starved.status == qpsolve.STATUS_MAXITER
+    assert starved.kkt is None
     # weak duality: the Lagrangian bound never exceeds the optimum
-    assert starved.dual_bound <= ref.objective + 1e-9
+    assert starved.bound <= ref.objective + 1e-9
 
 
-def test_dual_bound_validity_random():
+def test_max_iter_bound_validity_random():
     rng = np.random.default_rng(31)
     for _ in range(10):
         n = int(rng.integers(2, 5))
@@ -345,8 +350,52 @@ def test_dual_bound_validity_random():
         ref = qpsolve.solve_convex_qp(model)
         assert ref.status == qpsolve.STATUS_OPTIMAL
         starved = qpsolve.solve_convex_qp(model, tol=1e-20, max_iter=25)
-        if starved.status == qpsolve.STATUS_MAXITER and np.isfinite(starved.dual_bound):
-            assert starved.dual_bound <= ref.objective + 1e-7
+        if starved.status == qpsolve.STATUS_MAXITER and np.isfinite(starved.bound):
+            assert starved.bound <= ref.objective + 1e-7
+
+
+def test_optimal_bound_is_guarded_objective():
+    model = make_model([[1.0]], [-2.0], offset=5.0, lb=[0.0], ub=[2.0])
+    sol = qpsolve.solve_convex_qp(model)
+    assert sol.kkt.passed
+    guard = qpsolve.BOUND_GUARD * (1.0 + abs(sol.objective))
+    assert sol.bound == sol.objective - guard
+
+
+def test_kkt_failed_optimal_falls_back_to_lagrangian_bound(monkeypatch):
+    model = make_model(
+        np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([0.7, -1.3]),
+        A=[[1.1, 3.3]], b=[1.0], lb=[-5.0, -5.0], ub=[5.0, 5.0],
+    )
+    ref = qpsolve.solve_convex_qp(model)
+    failed = qpsolve.KktReport(1.0, 0.0, 0.0, 0.0, False)
+    monkeypatch.setattr(qpsolve, "verify_kkt", lambda model, sol: failed)
+    sol = qpsolve.solve_convex_qp(model)
+    assert sol.status == qpsolve.STATUS_OPTIMAL and sol.kkt is failed
+    assert math.isfinite(sol.bound)
+    assert sol.bound <= ref.objective + 1e-9
+
+
+def test_kkt_failed_reduced_solve_certifies_nothing(monkeypatch):
+    # the Lagrangian bound needs full-space convexity, which Q lacks here
+    model = make_model(
+        np.diag([1.0, -1.0]), np.zeros(2), A=[[0.0, 1.0]], b=[0.5], nullspace_convex=True,
+    )
+    assert qpsolve.solve_convex_qp(model).kkt.passed
+    monkeypatch.setattr(
+        qpsolve, "verify_kkt", lambda model, sol: qpsolve.KktReport(1.0, 0.0, 0.0, 0.0, False)
+    )
+    assert qpsolve.solve_convex_qp(model).bound == -math.inf
+
+
+def test_past_deadline_stops_at_first_check():
+    rng = np.random.default_rng(43)
+    n = 6
+    A = rng.uniform(-1, 1, size=(2, n))
+    model = make_model(0.5 * rand_psd(rng, n), rng.uniform(-2, 2, n), A=A, b=A @ np.zeros(n))
+    sol = qpsolve.solve_convex_qp(model, tol=1e-30, deadline=time.monotonic() - 1.0)
+    assert sol.status == qpsolve.STATUS_MAXITER
+    assert sol.iterations == qpsolve._CHECK_EVERY
 
 
 def test_optimal_status_meets_residual_contract():

@@ -1,6 +1,9 @@
 """Relaxation layer: restriction algebra, spectral shifts, delta search, and
 the three bounding models, checked against hand-worked values."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -579,6 +582,31 @@ def test_separable_tighter_than_interval_arithmetic():
     r = 1.0 / np.sqrt(2.0)
     assert info.L[0] == pytest.approx(-0.75 * r, abs=1e-6)
     assert info.U[0] == pytest.approx(0.25 * r, abs=1e-6)
+
+
+def test_separable_direction_bounds_come_from_certified_bound():
+    # a truncated LP (no usable point) still tightens through its bound; an
+    # LP certifying nothing keeps the interval-arithmetic range
+    prob = box_problem(
+        [[0.0, 1.0], [1.0, 0.0]], A=[[1.0, 0.0]], b=[0.25], lb=[0.0, 0.0], ub=[1.0, 1.0]
+    )
+    node = root_restriction(prob)
+    r = 1.0 / np.sqrt(2.0)
+
+    def truncated(lp):
+        sol = qpsolve.solve_lp(lp)
+        return dataclasses.replace(sol, status=qpsolve.STATUS_MAXITER, x=None)
+
+    info = build_separable_relaxation(prob, node, truncated).separable
+    assert info.L[0] == pytest.approx(-0.75 * r, abs=1e-6)
+    assert info.U[0] == pytest.approx(0.25 * r, abs=1e-6)
+
+    def uncertified(lp):
+        return dataclasses.replace(qpsolve.solve_lp(lp), bound=-math.inf)
+
+    info = build_separable_relaxation(prob, node, uncertified).separable
+    assert info.L[0] == pytest.approx(-r, abs=1e-6)
+    assert info.U[0] == pytest.approx(r, abs=1e-6)
 
 
 # --------------------------------------------------------- property invariants
