@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
-"""Print one CSV row per (instance, mode) solve with a digest of its trace.
+"""Print a digest of every B&B solve and root bound on a fixed instance set.
 
-Columns: instance,mode,status,nodes,f_ubd,trace_sha256.  The instances are
-the criterion-1 CBQP grid (one per (n, density) cell) plus a few BoxQP and
-integer-with-equality (eiqp) instances; every relaxation mode is run with
-default settings.  Two revisions produce the same traces exactly when their
+Two CSV tables:
+
+* `instance,mode,status,nodes,f_ubd,trace_sha256`: one row per (instance,
+  mode) solve with default settings, hashing its trace;
+* `instance,root_method,bound`: one row per (instance, root relaxation)
+  with `repr` of `cli.root_relaxation_bound`.
+
+The instances are the criterion-1 CBQP grid (one per (n, density) cell), a
+few BoxQP and integer-with-equality (eiqp) instances, and one CBQP whose
+cardinality row is written as two inequality rows, since no generated family
+has any.  Two revisions compute the same traces and bounds exactly when their
 outputs are identical:
 
     python3 scripts/trace_digest.py > new.csv && diff old.csv new.csv
@@ -15,11 +22,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from spectralqp.bnb import MODES, SolverConfig, solve
-from spectralqp.cli import _jsonify
-from spectralqp.problem import GeneratorSpec, generate_random
+from spectralqp.cli import RELAXATION_COLUMNS, _jsonify, root_relaxation_bound
+from spectralqp.problem import GeneratorSpec, generate_random, validate
 
 SPECS = [
     GeneratorSpec(family="cbqp", n=n, density=rho, k=max(1, n // 4), seed=s)
@@ -29,15 +38,37 @@ SPECS += [GeneratorSpec(family="boxqp", n=n, seed=s) for s, n in enumerate((4, 5
 SPECS += [GeneratorSpec(family="eiqp", n=n, m=1, seed=s) for s, n in enumerate((4, 5, 6))]
 
 
+def cardinality_as_inequalities(spec: GeneratorSpec):
+    """The cbqp instance of `spec` with sum(x) = k written as the two rows
+    sum(x) <= k and -sum(x) <= -k."""
+    p = generate_random(spec)
+    row = np.ones((1, p.n))
+    return validate(
+        n=p.n, Q=p.Q, q=p.q, C=np.vstack([row, -row]), d=[spec.k, -spec.k],
+        lb=p.lb, ub=p.ub, integers=p.integers, name=p.name + "_ineq",
+    )
+
+
+def instances():
+    problems = [generate_random(spec) for spec in SPECS]
+    problems.append(cardinality_as_inequalities(SPECS[0]))
+    return problems
+
+
 def main() -> int:
+    problems = instances()
     print("instance,mode,status,nodes,f_ubd,trace_sha256")
-    for spec in SPECS:
-        problem = generate_random(spec)
+    for problem in problems:
         for mode in MODES:
             res = solve(problem, SolverConfig(relaxation=mode))
             text = "".join(json.dumps(_jsonify(rec)) + "\n" for rec in res.trace)
             digest = hashlib.sha256(text.encode()).hexdigest()
             print(f"{problem.name},{mode},{res.status},{res.nodes},{res.f_ubd!r},{digest}", flush=True)
+    print("instance,root_method,bound")
+    for problem in problems:
+        for method in RELAXATION_COLUMNS:
+            bound = root_relaxation_bound(problem, method.lower())
+            print(f"{problem.name},{method.lower()},{bound!r}", flush=True)
     return 0
 
 

@@ -15,7 +15,8 @@ node where both ran gets its interval shrunk and the other grown
 (dynamic_selection_update).  A node's bound is the certified `bound` of its
 relaxation solve (qpsolve owns the certificate); a QP without one falls back
 to the LP and then to the parent bound.  Relaxation solves stop at the time
-limit too, returning whatever bound they have certified by then.
+limit too, returning whatever bound they have certified by then, and no LP
+starts past it.
 
 Every run is single-threaded and deterministic for a fixed (problem, config):
 the trace (one record per node) and result are bit-reproducible.
@@ -299,6 +300,10 @@ class _Engine:
         return bound, x, shift, model.kind
 
     def _solve_lp(self, entry, R):
+        """Bound the node by its McCormick LP; no bound once the deadline has
+        passed, so the node keeps its parent bound."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            return None, None
         model = build_mccormick_relaxation(self.problem, entry.node, restricted=R)
         self.stats["lp_solves"] += 1
         sol = qpsolve.solve_lp(model, max_iter=LP_MAX_ITER, deadline=self.deadline)

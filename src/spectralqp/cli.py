@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import qpsolve
-from .bnb import SolverConfig, relative_gap, solve
+from .bnb import MODES, RULES, SolverConfig, relative_gap, solve
 from .branching import (
     branching_gap_metric,
     spectral_branch_approx,
@@ -60,7 +60,6 @@ from .relaxation import (
 log = logging.getLogger("spectralqp.cli")
 
 RELAXATION_COLUMNS = ("EIG", "GEIG", "EIGZ", "MCCORMICK", "SEPARABLE")
-SOLVE_RELAXATIONS = ("eig", "geig", "eigz", "mccormick", "auto")
 UPPER_BOUND_BUDGET_S = 10.0
 
 EXIT_OK = 0
@@ -160,13 +159,6 @@ def _upper_bound_for(problem: ProblemInstance, budget_s: float):
 
 
 def cmd_solve(args) -> int:
-    if args.relax == "separable":
-        print(
-            "error: the separable relaxation is a root-bound method; "
-            "pick one of " + "|".join(SOLVE_RELAXATIONS),
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
     problem = _load_instance(args.instance)
     cfg = SolverConfig(
         relaxation=args.relax,
@@ -334,14 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--relax",
         default="auto",
-        choices=SOLVE_RELAXATIONS + ("separable",),
-        help="relaxation mode (separable is root-gaps only)",
+        choices=MODES,
+        help="relaxation mode (separable is a root-gaps column only)",
     )
-    p_solve.add_argument(
-        "--branch",
-        default="auto",
-        choices=("approx", "gct", "exact", "fractional", "auto"),
-    )
+    p_solve.add_argument("--branch", default="auto", choices=RULES)
     p_solve.add_argument("--rel-tol", type=float, default=1e-6)
     p_solve.add_argument("--abs-tol", type=float, default=1e-6)
     p_solve.add_argument("--time-limit", type=float, default=None)

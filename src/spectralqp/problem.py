@@ -352,17 +352,32 @@ class _Lines:
         except ValueError as exc:
             raise ProblemFormatError(f"expected number for {what}, got {tok!r}") from exc
 
+    def next_entry(self, what: str, sizes: tuple, value=float) -> tuple:
+        """One entry line of section `what`: a 1-based index in 1..size for
+        each of `sizes`, then a value parsed by `value`.  Returns the 0-based
+        indices followed by the value."""
+        row = self.next(f"{what} entry")
+        k = len(sizes)
+        text = " ".join(row)
+        if len(row) < k + 1:
+            raise ProblemFormatError(f"{what} entry {text!r} needs {k + 1} fields")
+        try:
+            idx = [int(tok) for tok in row[:k]]
+            val = value(row[k])
+        except ValueError as exc:
+            raise ProblemFormatError(f"{what} entry {text!r} is not numeric") from exc
+        for i, size in zip(idx, sizes):
+            if not 1 <= i <= size:
+                raise ProblemFormatError(f"{what} entry {text!r}: index {i} out of range 1..{size}")
+        return (*(i - 1 for i in idx), val)
+
 
 def _read_sparse_vector(lines: _Lines, size: int, what: str) -> np.ndarray:
     default = lines.next_float(f"{what} default")
     out = np.full(size, default)
-    count = lines.next_int(f"{what} non-default count")
-    for _ in range(count):
-        row = lines.next(f"{what} entry")
-        i = int(row[0])
-        if not (1 <= i <= size):
-            raise ProblemFormatError(f"{what} index {i} out of range 1..{size}")
-        out[i - 1] = float(row[1])
+    for _ in range(lines.next_int(f"{what} non-default count")):
+        i, v = lines.next_entry(what, (size,))
+        out[i] = v
     return out
 
 
@@ -394,13 +409,10 @@ def parse_qplib(text: str, name: str = "") -> ProblemInstance:
 
     Q0 = np.zeros((n, n))
     for _ in range(lines.next_int("Q0 nonzero count")):
-        row = lines.next("Q0 entry")
-        i, j, v = int(row[0]), int(row[1]), float(row[2])
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ProblemFormatError(f"Q0 entry ({i}, {j}) out of range")
-        Q0[i - 1, j - 1] += v
+        i, j, v = lines.next_entry("Q0", (n, n))
+        Q0[i, j] += v
         if i != j:
-            Q0[j - 1, i - 1] += v
+            Q0[j, i] += v
     b0 = _read_sparse_vector(lines, n, "b0")
     q0 = lines.next_float("objective constant")
     if q0 != 0.0:
@@ -412,11 +424,8 @@ def parse_qplib(text: str, name: str = "") -> ProblemInstance:
     A_full = np.zeros((m_rows, n))
     if con_c == "L":
         for _ in range(lines.next_int("constraint nonzero count")):
-            row = lines.next("constraint entry")
-            i, j, v = int(row[0]), int(row[1]), float(row[2])
-            if not (1 <= i <= m_rows and 1 <= j <= n):
-                raise ProblemFormatError(f"constraint entry ({i}, {j}) out of range")
-            A_full[i - 1, j - 1] = v
+            i, j, v = lines.next_entry("constraint", (m_rows, n))
+            A_full[i, j] = v
 
     infinity = lines.next_float("infinity value")
 
@@ -444,8 +453,8 @@ def parse_qplib(text: str, name: str = "") -> ProblemInstance:
         tdefault = lines.next_int("variable type default")
         types = np.full(n, tdefault)
         for _ in range(lines.next_int("variable type non-default count")):
-            row = lines.next("variable type entry")
-            types[int(row[0]) - 1] = int(row[1])
+            i, t = lines.next_entry("variable type", (n,), int)
+            types[i] = t
         integers = [i for i in range(n) if types[i] != 0]
 
     eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []

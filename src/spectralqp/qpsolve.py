@@ -16,8 +16,10 @@ manifold) are solved in reduced coordinates x = x0 + Z z, where x0 is a least
 squares particular solution and Z an orthonormal nullspace basis; equality
 multipliers are then recovered by least squares on the stationarity residual.
 
-Every solution carries its one certified lower bound on the model optimum,
-`bound` (see solve_convex_qp); callers read it rather than the status.
+A solution holds the status, x, objective, multipliers and iteration count,
+its one certified lower bound on the model optimum, `bound` (see
+solve_convex_qp; callers read it rather than the status), and for an optimal
+solve the scaled residuals of verify_kkt, `kkt`, its only residual record.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ class QpSolution:
     pi_l: np.ndarray        # lower-bound multipliers, >= 0
     pi_u: np.ndarray        # upper-bound multipliers, >= 0
     iterations: int
-    primal_residual: float
-    dual_residual: float
     bound: float = -math.inf        # certified lower bound on the model optimum
     kkt: KktReport | None = None    # verify_kkt report of an optimal solve
 
@@ -105,15 +105,12 @@ class _Raw:
     status: str
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
     iterations: int
-    rp: float
-    rd: float
 
 
 def _polish(P, c, A, lo, hi, y):
     """Direct KKT solve on the constraints the duals mark active.  Returns
-    (x, y, z, rp, rd) or None when the linear solve fails outright."""
+    (x, y) or None when the linear solve fails outright."""
     m, n = A.shape
     eq = np.isfinite(lo) & np.isfinite(hi) & (lo == hi)
     low = (y < 0.0) & np.isfinite(lo) & ~eq
@@ -143,11 +140,7 @@ def _polish(P, c, A, lo, hi, y):
     # clamp multipliers to their cone
     yp[low & np.isfinite(lo)] = np.minimum(yp[low & np.isfinite(lo)], 0.0)
     yp[upp] = np.maximum(yp[upp], 0.0)
-    Ax = A @ xp
-    zp = np.clip(Ax, lo, hi)
-    rp = float(np.max(np.abs(Ax - zp), initial=0.0))
-    rd = float(np.max(np.abs(P @ xp + c + A.T @ yp), initial=0.0))
-    return xp, yp, zp, rp, rd
+    return xp, yp
 
 
 def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
@@ -232,10 +225,10 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
         polished point misses the tolerance."""
         pol = _polish(P, c, A, lo, hi, yu) if m else None
         if pol is not None:
-            xp, yp, zp, rpp, rdp = pol
-            _, spp, _, sdp = residuals(xp, yp, zp)
+            xp, yp = pol
+            rpp, spp, rdp, sdp = residuals(xp, yp, np.clip(A @ xp, lo, hi))
             if rpp <= tol * (1.0 + spp) and rdp <= tol * (1.0 + sdp):
-                return _Raw(STATUS_OPTIMAL, xp, yp, zp, it, rpp, rdp)
+                return _Raw(STATUS_OPTIMAL, xp, yp, it)
         return None
 
     best = None
@@ -258,7 +251,7 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
         tol_p = tol * (1.0 + sp)
         tol_d = tol * (1.0 + sd)
         if best is None or max(rp / tol_p, rd / tol_d) < best[0]:
-            best = (max(rp / tol_p, rd / tol_d), xu.copy(), yu.copy(), zu.copy(), rp, rd)
+            best = (max(rp / tol_p, rd / tol_d), xu.copy(), yu.copy())
 
         near = rp <= 1e4 * tol_p and rd <= 1e4 * tol_d
         if (rp <= tol_p and rd <= tol_d) or near:
@@ -266,7 +259,7 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
             if pol is not None:
                 return pol
             if rp <= tol_p and rd <= tol_d:
-                return _Raw(STATUS_OPTIMAL, xu, yu, zu, it, rp, rd)
+                return _Raw(STATUS_OPTIMAL, xu, yu, it)
 
         # primal infeasibility certificate from the dual increment
         if m:
@@ -285,7 +278,7 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
                         + np.sum(lo[np.isfinite(lo)] * neg[np.isfinite(lo)])
                     )
                     if support < -_EPS_PINF * (1.0 + abs(support)):
-                        return _Raw(STATUS_INFEASIBLE, xu, yu, zu, it, rp, rd)
+                        return _Raw(STATUS_INFEASIBLE, xu, yu, it)
             y_mark = yu.copy()
 
         if deadline is not None and time.monotonic() > deadline:
@@ -300,16 +293,14 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
                 chol = factor(rho)
 
     if best is None:
-        xu, yu, zu = unscaled(x, y, z)
-        rp, sp, rd, sd = residuals(xu, yu, zu)
-        best = (math.inf, xu, yu, zu, rp, rd)
+        xu, yu, _ = unscaled(x, y, z)
+        best = (math.inf, xu, yu)
     # out of iterations: last chance polish, then best iterate; out of time:
     # best iterate only, as the polish is one dense KKT solve
     pol = polished(best[2], it) if it >= max_iter else None
     if pol is not None:
         return pol
-    _, xb, yb, zb, rpb, rdb = best
-    return _Raw(STATUS_MAXITER, xb, yb, zb, it, rpb, rdb)
+    return _Raw(STATUS_MAXITER, best[1], best[2], it)
 
 
 def _stack(model: ConvexQpModel):
@@ -397,17 +388,33 @@ def _infeasible(model: ConvexQpModel) -> QpSolution:
         pi_l=np.zeros(model.nvar),
         pi_u=np.zeros(model.nvar),
         iterations=0,
-        primal_residual=math.inf,
-        dual_residual=math.inf,
         bound=math.inf,
     )
 
 
-def _split_duals(y, p: int):
-    """(mu, pi_l, pi_u) from the stacked multipliers of the rows [C; I]: p
-    inequality rows, then the box."""
+def _lagrangian_grad(model: ConvexQpModel, x, nu, mu, pi_l, pi_u) -> np.ndarray:
+    """2Qx + q + A'nu + C'mu - pi_l + pi_u, leaving out A'nu when nu is None."""
+    grad = model.q.copy()
+    if model.Q is not None:
+        grad = grad + 2.0 * (model.Q @ x)
+    if nu is not None and model.A.shape[0]:
+        grad = grad + model.A.T @ nu
+    if model.C.shape[0]:
+        grad = grad + model.C.T @ mu
+    return grad - pi_l + pi_u
+
+
+def _solution(model: ConvexQpModel, status, x, nu, y, iterations) -> QpSolution:
+    """The solution at x.  `y` stacks the multipliers of the rows [C; I] (the
+    inequalities, then the box); `nu` holds the equality multipliers, or is
+    None to fit them by least squares on the stationarity residual."""
+    p = model.C.shape[0]
     ybox = y[p:]
-    return np.maximum(y[:p], 0.0), np.maximum(-ybox, 0.0), np.maximum(ybox, 0.0)
+    mu, pi_l, pi_u = np.maximum(y[:p], 0.0), np.maximum(-ybox, 0.0), np.maximum(ybox, 0.0)
+    if nu is None:
+        grad = _lagrangian_grad(model, x, None, mu, pi_l, pi_u)
+        nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
+    return QpSolution(status, x, _objective(model, x), nu, mu, pi_l, pi_u, iterations)
 
 
 def _solve_full(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
@@ -416,33 +423,7 @@ def _solve_full(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
     A_s, lo, hi = _stack(model)
     raw = _admm(P, model.q, A_s, lo, hi, tol, max_iter, deadline)
     m = model.A.shape[0]
-    mu, pi_l, pi_u = _split_duals(raw.y[m:], model.C.shape[0])
-    return QpSolution(
-        status=raw.status,
-        x=raw.x,
-        objective=_objective(model, raw.x),
-        nu=raw.y[:m],
-        mu=mu,
-        pi_l=pi_l,
-        pi_u=pi_u,
-        iterations=raw.iterations,
-        primal_residual=raw.rp,
-        dual_residual=raw.rd,
-    )
-
-
-def _complete_nu(model: ConvexQpModel, x, mu, pi_l, pi_u) -> np.ndarray:
-    """Equality multipliers minimizing the stationarity residual."""
-    grad = model.q.copy()
-    if model.Q is not None:
-        grad = grad + 2.0 * (model.Q @ x)
-    if model.C.shape[0]:
-        grad = grad + model.C.T @ mu
-    grad = grad - pi_l + pi_u
-    if model.A.shape[0] == 0:
-        return np.zeros(0)
-    nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
-    return nu
+    return _solution(model, raw.status, raw.x, raw.y[:m], raw.y[m:], raw.iterations)
 
 
 def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
@@ -470,23 +451,7 @@ def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
         if viol > 1e-8 * (1.0 + float(np.max(np.abs(x0)))):
             return _infeasible(model)
         x = np.clip(x0, model.lb, model.ub)
-        mu = np.zeros(p)
-        pi_l = np.zeros(n)
-        pi_u = np.zeros(n)
-        nu = _complete_nu(model, x, mu, pi_l, pi_u)
-        grad = model.q + 2.0 * (Q @ x) + (model.C.T @ mu if p else 0.0) + A.T @ nu
-        return QpSolution(
-            status=STATUS_OPTIMAL,
-            x=x,
-            objective=_objective(model, x),
-            nu=nu,
-            mu=mu,
-            pi_l=pi_l,
-            pi_u=pi_u,
-            iterations=0,
-            primal_residual=float(np.max(np.abs(A @ x - b), initial=0.0)),
-            dual_residual=float(np.max(np.abs(grad), initial=0.0)),
-        )
+        return _solution(model, STATUS_OPTIMAL, x, None, np.zeros(p + n), 0)
 
     Pz = Z.T @ (2.0 * Q) @ Z
     Pz = 0.5 * (Pz + Pz.T)
@@ -502,29 +467,7 @@ def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
     raw = _admm(
         Pz, cz, A_s, np.concatenate(lons), np.concatenate(hins), tol, max_iter, deadline
     )
-    x = x0 + Z @ raw.x
-    mu, pi_l, pi_u = _split_duals(raw.y, p)
-    nu = _complete_nu(model, x, mu, pi_l, pi_u)
-    grad = model.q + 2.0 * (Q @ x) + (model.C.T @ mu if p else 0.0) - pi_l + pi_u + A.T @ nu
-    rp = max(
-        float(np.max(np.abs(A @ x - b), initial=0.0)),
-        float(np.max(model.C @ x - model.d, initial=0.0)) if p else 0.0,
-        float(np.max(model.lb - x, initial=0.0)),
-        float(np.max(x - model.ub, initial=0.0)),
-        0.0,
-    )
-    return QpSolution(
-        status=raw.status,
-        x=x,
-        objective=_objective(model, x),
-        nu=nu,
-        mu=mu,
-        pi_l=pi_l,
-        pi_u=pi_u,
-        iterations=raw.iterations,
-        primal_residual=rp,
-        dual_residual=float(np.max(np.abs(grad), initial=0.0)),
-    )
+    return _solution(model, raw.status, x0 + Z @ raw.x, None, raw.y, raw.iterations)
 
 
 def solve_convex_qp(
@@ -584,14 +527,7 @@ def verify_kkt(
     if x is None:
         return KktReport(math.inf, math.inf, math.inf, math.inf, False)
     nu, mu, pi_l, pi_u = solution.nu, solution.mu, solution.pi_l, solution.pi_u
-    grad = model.q.copy()
-    if model.Q is not None:
-        grad = grad + 2.0 * (model.Q @ x)
-    if model.A.shape[0]:
-        grad = grad + model.A.T @ nu
-    if model.C.shape[0]:
-        grad = grad + model.C.T @ mu
-    grad = grad - pi_l + pi_u
+    grad = _lagrangian_grad(model, x, nu, mu, pi_l, pi_u)
     stationarity = float(np.max(np.abs(grad), initial=0.0))
 
     primal = max(

@@ -1,6 +1,7 @@
 """Branch-and-bound engine tests: worked instances, oracle agreement,
 selection-state dynamics, limits, and determinism."""
 
+import dataclasses
 import json
 import math
 import time
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralqp import bnb, linalg
+from spectralqp import bnb, linalg, qpsolve
 from spectralqp.bnb import (
     SelectionState,
     SolverConfig,
@@ -359,6 +360,31 @@ def test_time_limit_holds_inside_a_node(mode):
     res = solve(prob, SolverConfig(relaxation=mode, time_limit=0.05))
     assert res.status == "time_limit"
     assert time.monotonic() - t0 <= 0.05 + 0.25
+
+
+@pytest.mark.parametrize("mode", ["eigz", "auto"])
+def test_no_lp_after_deadline(mode, monkeypatch):
+    # a QP that certifies nothing and ends past the time limit must not be
+    # followed by the McCormick LP fallback
+    real_qp = qpsolve.solve_convex_qp
+    lp_calls = []
+
+    def slow_uncertified_qp(model, **kwargs):
+        sol = real_qp(model, **kwargs)
+        time.sleep(0.1)
+        return dataclasses.replace(sol, bound=-math.inf, kkt=None)
+
+    def counting_lp(*args, **kwargs):
+        lp_calls.append(args)
+        return real_lp(*args, **kwargs)
+
+    real_lp = qpsolve.solve_lp
+    monkeypatch.setattr(qpsolve, "solve_convex_qp", slow_uncertified_qp)
+    monkeypatch.setattr(qpsolve, "solve_lp", counting_lp)
+    prob = generate_random(GeneratorSpec(family="cbqp", n=8, k=2, seed=0))
+    res = solve(prob, SolverConfig(relaxation=mode, time_limit=0.05))
+    assert lp_calls == []
+    assert res.status == "time_limit"
 
 
 @settings(max_examples=60, deadline=None)

@@ -91,6 +91,16 @@ def test_solve_wrongly_typed_field_exits_1(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+def test_solve_short_qplib_entry_exits_1(tmp_path, capsys):
+    path = tmp_path / "short.qplib"
+    path.write_text("SHORT\nQCN\nminimize\n1\n1\n1 1\n0.0\n0\n0.0\n1.0E+20\n0.0\n0\n1.0\n0\n",
+                    encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "Q0 entry" in err
+
+
 def test_solve_rejects_separable(tmp_path, capsys):
     path = write_instance(tmp_path, "inst", **binary_kwargs([[0.0, 1.0], [1.0, 0.0]]))
     code = main(["solve", str(path), "--relax", "separable"])

@@ -276,6 +276,21 @@ maximize
         with pytest.warns(UserWarning, match="objective constant"):
             parse_qplib(text)
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("1 1 4.0\n", "1 1\n", "Q0 entry '1 1' needs 3 fields"),
+            ("2 3 1.0\n", "2 c 1.0\n", "constraint entry '2 c 1.0' is not numeric"),
+            ("3 -1.0\n", "3 abc\n", "b0 entry '3 abc' is not numeric"),
+            ("types\n1 1\n", "types\n0 1\n", "variable type entry '0 1': index 0 out of range 1..3"),
+            ("types\n1 1\n", "types\n4 1\n", "variable type entry '4 1': index 4 out of range 1..3"),
+        ],
+    )
+    def test_bad_entry_line_names_section(self, old, new, match):
+        assert QPLIB_MIXED.count(old) == 1
+        with pytest.raises(ProblemFormatError, match=match):
+            parse_qplib(QPLIB_MIXED.replace(old, new))
+
 
 class TestGenerators:
     def test_cbqp_structure(self):
