@@ -11,8 +11,10 @@ Two CSV tables:
 The instances are the criterion-1 CBQP grid (one per (n, density) cell), a
 few BoxQP and integer-with-equality (eiqp) instances, and one CBQP whose
 cardinality row is written as two inequality rows, since no generated family
-has any.  Two revisions compute the same traces and bounds exactly when their
-outputs are identical:
+has any.  Between them the solves reach polish successes on QPs and LPs,
+polish attempts skipped because the active set repeats, and auto-mode LPs
+that run out of iterations.  Two revisions compute the same traces and
+bounds exactly when their outputs are identical:
 
     python3 scripts/trace_digest.py > new.csv && diff old.csv new.csv
 """
@@ -36,6 +38,9 @@ SPECS = [
 ]
 SPECS += [GeneratorSpec(family="boxqp", n=n, seed=s) for s, n in enumerate((4, 5, 6))]
 SPECS += [GeneratorSpec(family="eiqp", n=n, m=1, seed=s) for s, n in enumerate((4, 5, 6))]
+# the only instance here whose McCormick LPs (capped at LP_MAX_ITER) end in a
+# successful polish; on the others every LP polish attempt fails
+SPECS.append(GeneratorSpec(family="eiqp", n=4, m=1, seed=303))
 
 
 def cardinality_as_inequalities(spec: GeneratorSpec):

@@ -239,6 +239,8 @@ class _Engine:
         self.stats = {
             "qp_solves": 0,
             "lp_solves": 0,
+            "qp_iterations": 0,
+            "lp_iterations": 0,
             "kkt_discards": 0,
             "max_accepted_kkt": 0.0,
             "heuristic_hits": 0,
@@ -296,6 +298,7 @@ class _Engine:
         )
         self.stats["qp_solves"] += 1
         sol = qpsolve.solve_convex_qp(model, deadline=self.deadline)
+        self.stats["qp_iterations"] += sol.iterations
         bound, x = self._accept(model, sol)
         return bound, x, shift, model.kind
 
@@ -307,6 +310,7 @@ class _Engine:
         model = build_mccormick_relaxation(self.problem, entry.node, restricted=R)
         self.stats["lp_solves"] += 1
         sol = qpsolve.solve_lp(model, max_iter=LP_MAX_ITER, deadline=self.deadline)
+        self.stats["lp_iterations"] += sol.iterations
         bound, x = self._accept(model, sol)
         return bound, x
 

@@ -6,10 +6,13 @@ The core is an operator-splitting (ADMM) iteration on
 
 with all model constraints (equalities, inequalities, box) stacked into A_s.
 Equality rows carry a boosted penalty, data is equilibrated in one pass, and
-the step size adapts to the primal/dual residual ratio.  Near convergence the
-iterate is polished by solving the KKT system of the active constraints,
-which typically lands the solution at machine precision; termination tests
-the unscaled residuals against tol * (1 + data scale).
+the step size adapts to the primal/dual residual ratio.  Each iteration
+back-substitutes through the Cholesky factor with LAPACK potrs, called
+directly.  Near convergence the iterate is polished by solving the KKT system
+of the active constraints, which typically lands the solution at machine
+precision; a polish reruns only when the active set (the dual signs) has
+changed since the last failed one.  Termination tests the unscaled residuals
+against tol * (1 + data scale).
 
 Models flagged `nullspace_convex` (curvature nonnegative only on the equality
 manifold) are solved in reduced coordinates x = x0 + Z z, where x0 is a least
@@ -187,12 +190,14 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
             try:
                 return scipy.linalg.cho_factor(
                     M + jitter * np.eye(n), lower=True, check_finite=False
-                )
+                )[0]
             except np.linalg.LinAlgError:
                 continue
         raise np.linalg.LinAlgError("x-update matrix is not positive definite")
 
     chol = factor(rho)
+    # the routine cho_solve would pick, called without its per-call wrapper
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
     x = np.zeros(n)
     z = np.clip(np.zeros(m), los, his)
     y = np.zeros(m)
@@ -220,15 +225,26 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
         )
         return rp, sp, rd, sd
 
+    failed_signs = None
+
     def polished(yu, it):
         """The optimal result of polishing on the duals yu, or None when the
-        polished point misses the tolerance."""
-        pol = _polish(P, c, A, lo, hi, yu) if m else None
+        polished point misses the tolerance.  _polish reads yu only through
+        its signs, so a sign pattern that failed before fails again and is
+        not re-solved."""
+        nonlocal failed_signs
+        if not m:
+            return None
+        signs = np.sign(yu).tobytes()
+        if signs == failed_signs:
+            return None
+        pol = _polish(P, c, A, lo, hi, yu)
         if pol is not None:
             xp, yp = pol
             rpp, spp, rdp, sdp = residuals(xp, yp, np.clip(A @ xp, lo, hi))
             if rpp <= tol * (1.0 + spp) and rdp <= tol * (1.0 + sdp):
                 return _Raw(STATUS_OPTIMAL, xp, yp, it)
+        failed_signs = signs
         return None
 
     best = None
@@ -237,11 +253,13 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
         inner = min(_CHECK_EVERY, max_iter - it)
         for _ in range(inner):
             rhs = _SIGMA * x + As.T @ (rho * z - y) - cs if m else _SIGMA * x - cs
-            x_half = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+            x_half, info = potrs(chol, rhs, lower=True, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
             x = _ALPHA * x_half + (1.0 - _ALPHA) * x
             if m:
                 v = _ALPHA * (As @ x_half) + (1.0 - _ALPHA) * z
-                z_new = np.clip(v + y / rho, los, his)
+                z_new = np.minimum(np.maximum(v + y / rho, los), his)
                 y = y + rho * (v - z_new)
                 z = z_new
         it += inner

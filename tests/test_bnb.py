@@ -459,6 +459,28 @@ def test_auto_mode_runs_both_relaxations():
     assert 1.0 <= res.stats["selection_omega_qp"] <= 10.0
 
 
+def test_iteration_counters_sum_relaxation_solves(monkeypatch):
+    calls = {"qp": [], "lp": []}
+
+    def recording(kind, fn):
+        def wrapped(model, *args, **kwargs):
+            sol = fn(model, *args, **kwargs)
+            calls[kind].append((model, sol.iterations))
+            return sol
+        return wrapped
+
+    monkeypatch.setattr(qpsolve, "solve_convex_qp", recording("qp", qpsolve.solve_convex_qp))
+    monkeypatch.setattr(qpsolve, "solve_lp", recording("lp", qpsolve.solve_lp))
+    prob = generate_random(GeneratorSpec(family="cbqp", n=8, k=2, seed=0))
+    res = solve(prob, SolverConfig(relaxation="auto"))
+    # solve_lp may delegate to solve_convex_qp: count each model once, as an LP
+    lp_models = {id(model) for model, _ in calls["lp"]}
+    lp_total = sum(it for _, it in calls["lp"])
+    qp_total = sum(it for model, it in calls["qp"] if id(model) not in lp_models)
+    assert res.stats["lp_iterations"] == lp_total > 0
+    assert res.stats["qp_iterations"] == qp_total > 0
+
+
 # ------------------------------------------------------------- relative gap
 
 

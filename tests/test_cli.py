@@ -58,6 +58,8 @@ def test_solve_reports_optimum(tmp_path, capsys):
     assert report["objective"] == pytest.approx(-2.0, abs=1e-6)
     assert report["x"] == [1.0, 1.0]
     assert report["nodes"] >= 1
+    assert report["stats"]["qp_iterations"] > 0
+    assert report["stats"]["lp_iterations"] >= 0
 
 
 def test_solve_missing_file_exits_1(capsys):

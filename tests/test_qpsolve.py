@@ -392,6 +392,35 @@ def test_past_deadline_stops_at_first_check():
     assert sol.iterations == qpsolve._CHECK_EVERY
 
 
+@pytest.mark.parametrize("seed", (0, 5))   # seed 0 runs out of iterations
+def test_polish_skips_a_repeated_active_set(monkeypatch, seed):
+    from spectralqp import bnb
+    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+
+    prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=8, k=2, seed=seed))
+    model = build_mccormick_relaxation(prob, root_restriction(prob))
+    ref = qpsolve.solve_lp(model, max_iter=bnb.LP_MAX_ITER)
+
+    signs = []
+    polish = qpsolve._polish
+
+    def recorder(P, c, A, lo, hi, y):
+        signs.append(np.sign(y))
+        return polish(P, c, A, lo, hi, y)
+
+    monkeypatch.setattr(qpsolve, "_polish", recorder)
+    sol = qpsolve.solve_lp(model, max_iter=bnb.LP_MAX_ITER)
+    assert signs
+    # _polish reads y only through its signs: a repeat would fail again
+    assert not any(np.array_equal(a, b) for a, b in zip(signs, signs[1:]))
+    for field in dataclasses.fields(qpsolve.QpSolution):
+        got, want = getattr(sol, field.name), getattr(ref, field.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+
+
 def test_optimal_status_meets_residual_contract():
     rng = np.random.default_rng(37)
     tol = 1e-8
