@@ -11,9 +11,9 @@ Two CSV tables:
 The instances are the criterion-1 CBQP grid (one per (n, density) cell), a
 few BoxQP and integer-with-equality (eiqp) instances, and one CBQP whose
 cardinality row is written as two inequality rows, since no generated family
-has any.  Between them the solves reach polish successes on QPs and LPs,
-polish attempts skipped because the active set repeats, and auto-mode LPs
-that run out of iterations.  Two revisions compute the same traces and
+has any.  Between them the solves reach QP polish successes, QP polish
+attempts skipped because the active set repeats, and McCormick LPs (HiGHS)
+in the auto and mccormick modes.  Two revisions compute the same traces and
 bounds exactly when their outputs are identical:
 
     python3 scripts/trace_digest.py > new.csv && diff old.csv new.csv
@@ -38,8 +38,8 @@ SPECS = [
 ]
 SPECS += [GeneratorSpec(family="boxqp", n=n, seed=s) for s, n in enumerate((4, 5, 6))]
 SPECS += [GeneratorSpec(family="eiqp", n=n, m=1, seed=s) for s, n in enumerate((4, 5, 6))]
-# the only instance here whose McCormick LPs (capped at LP_MAX_ITER) end in a
-# successful polish; on the others every LP polish attempt fails
+# the one instance whose McCormick LPs ended in a successful ADMM polish when
+# LPs still ran on ADMM; kept so digests of older revisions stay comparable
 SPECS.append(GeneratorSpec(family="eiqp", n=4, m=1, seed=303))
 
 

@@ -13,10 +13,11 @@ LP with per-class solve intervals omega: a relaxation runs when at least
 omega nodes passed since it last ran, whichever bound proves stronger at a
 node where both ran gets its interval shrunk and the other grown
 (dynamic_selection_update).  A node's bound is the certified `bound` of its
-relaxation solve (qpsolve owns the certificate); a QP without one falls back
-to the LP and then to the parent bound.  Relaxation solves stop at the time
-limit too, returning whatever bound they have certified by then, and no LP
-starts past it.
+relaxation solve (qpsolve owns the certificate): spectral QPs are solved by
+ADMM, McCormick LPs exactly by HiGHS dual simplex.  A QP without a bound
+falls back to the LP and then to the parent bound.  Relaxation solves stop
+at the time limit too (the LP through HiGHS's own time limit), returning
+whatever bound they have certified by then, and no LP starts past it.
 
 Every run is single-threaded and deterministic for a fixed (problem, config):
 the trace (one record per node) and result are bit-reproducible.
@@ -65,9 +66,6 @@ STATUS_INFEASIBLE = "infeasible"
 TINY_BOX = 1e-9
 GAP_FLOOR = 1e-3
 PG_STEPS = 100
-# ADMM iteration budget for node LPs; a truncated solve still certifies its
-# Lagrangian dual bound, so a modest cap just trades tightness for speed
-LP_MAX_ITER = 4000
 
 # dynamic_selection_update: the margin that makes a QP bound decisive, the
 # interval growth/shrink factors, and the interval ceilings
@@ -309,7 +307,7 @@ class _Engine:
             return None, None
         model = build_mccormick_relaxation(self.problem, entry.node, restricted=R)
         self.stats["lp_solves"] += 1
-        sol = qpsolve.solve_lp(model, max_iter=LP_MAX_ITER, deadline=self.deadline)
+        sol = qpsolve.solve_lp(model, deadline=self.deadline)
         self.stats["lp_iterations"] += sol.iterations
         bound, x = self._accept(model, sol)
         return bound, x

@@ -1,6 +1,14 @@
-"""First-order convex QP/LP solver for relaxation subproblems.
+"""Convex QP and LP solvers for relaxation subproblems.
 
-The core is an operator-splitting (ADMM) iteration on
+Two engines, one per problem class.  Linear models (the McCormick node LPs
+and the separable direction LPs) go to solve_lp: HiGHS dual simplex, whose
+compiled extension is loaded from scipy on the first LP solve without
+importing scipy.optimize.  Its bound is the weak-duality value at HiGHS's
+row duals with the box kept primal, and a claimed infeasibility counts only
+once its dual ray passes the Farkas test.
+
+Quadratic models go to solve_convex_qp, an operator-splitting (ADMM)
+iteration on
 
     min 1/2 x'Px + c'x   s.t.  lo <= A_s x <= hi
 
@@ -19,15 +27,21 @@ manifold) are solved in reduced coordinates x = x0 + Z z, where x0 is a least
 squares particular solution and Z an orthonormal nullspace basis; equality
 multipliers are then recovered by least squares on the stationarity residual.
 
-A solution holds the status, x, objective, multipliers and iteration count,
-its one certified lower bound on the model optimum, `bound` (see
-solve_convex_qp; callers read it rather than the status), and for an optimal
-solve the scaled residuals of verify_kkt, `kkt`, its only residual record.
+A solution holds the status, x, objective, multipliers and iteration count
+(ADMM or simplex iterations), its one certified lower bound on the model
+optimum, `bound` (see solve_convex_qp and solve_lp; callers read it rather
+than the status), and for an optimal solve the scaled residuals of
+verify_kkt, `kkt`, its only residual record.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -52,6 +66,10 @@ _RHO0 = 0.1            # base penalty
 _RHO_EQ_BOOST = 1e3    # extra penalty on equality rows
 _CHECK_EVERY = 25      # iterations between convergence checks
 _EPS_PINF = 1e-7       # infeasibility certificate threshold (relative)
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_highs_core = None     # the extension module, once _highs() has loaded it
+_highs_lock = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -109,6 +127,27 @@ class _Raw:
     x: np.ndarray
     y: np.ndarray
     iterations: int
+
+
+def _farkas(A, lo, hi, y) -> bool:
+    """True when y certifies {x : lo <= A x <= hi} empty: A'y vanishes while
+    the support of y over [lo, hi] is negative (both relative to max |y|)."""
+    nrm = float(np.max(np.abs(y), initial=0.0))
+    if nrm <= 1e-14:
+        return False
+    dyn = y / nrm
+    atd = float(np.max(np.abs(A.T @ dyn), initial=0.0))
+    pos, neg = np.maximum(dyn, 0.0), np.minimum(dyn, 0.0)
+    bad_sup = np.any(pos[~np.isfinite(hi)] > _EPS_PINF) or np.any(
+        -neg[~np.isfinite(lo)] > _EPS_PINF
+    )
+    if bad_sup or not atd <= _EPS_PINF * (1.0 + np.max(np.abs(A))):
+        return False
+    support = float(
+        np.sum(hi[np.isfinite(hi)] * pos[np.isfinite(hi)])
+        + np.sum(lo[np.isfinite(lo)] * neg[np.isfinite(lo)])
+    )
+    return support < -_EPS_PINF * (1.0 + abs(support))
 
 
 def _polish(P, c, A, lo, hi, y):
@@ -281,22 +320,8 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
 
         # primal infeasibility certificate from the dual increment
         if m:
-            dy = yu - y_mark
-            nrm = float(np.max(np.abs(dy), initial=0.0))
-            if nrm > 1e-14:
-                dyn = dy / nrm
-                atd = float(np.max(np.abs(A.T @ dyn), initial=0.0))
-                pos, neg = np.maximum(dyn, 0.0), np.minimum(dyn, 0.0)
-                bad_sup = np.any(pos[~np.isfinite(hi)] > _EPS_PINF) or np.any(
-                    -neg[~np.isfinite(lo)] > _EPS_PINF
-                )
-                if not bad_sup and atd <= _EPS_PINF * (1.0 + np.max(np.abs(A))):
-                    support = float(
-                        np.sum(hi[np.isfinite(hi)] * pos[np.isfinite(hi)])
-                        + np.sum(lo[np.isfinite(lo)] * neg[np.isfinite(lo)])
-                    )
-                    if support < -_EPS_PINF * (1.0 + abs(support)):
-                        return _Raw(STATUS_INFEASIBLE, xu, yu, it)
+            if _farkas(A, lo, hi, yu - y_mark):
+                return _Raw(STATUS_INFEASIBLE, xu, yu, it)
             y_mark = yu.copy()
 
         if deadline is not None and time.monotonic() > deadline:
@@ -357,16 +382,7 @@ def _dual_bound(model: ConvexQpModel, nu, mu, pi_l, pi_u) -> float:
     mu = np.maximum(mu, 0.0)
     pi_l = np.maximum(pi_l, 0.0)
     pi_u = np.maximum(pi_u, 0.0)
-    lin = model.q.copy()
-    if model.A.shape[0]:
-        lin += model.A.T @ nu
-    if model.C.shape[0]:
-        lin += model.C.T @ mu
-    base = model.offset
-    if model.A.shape[0]:
-        base -= float(nu @ model.b)
-    if model.C.shape[0]:
-        base -= float(mu @ model.d)
+    lin, base = _row_lagrangian(model, nu, mu)
 
     lin1 = lin + pi_u - pi_l
     g1 = -math.inf
@@ -388,12 +404,30 @@ def _dual_bound(model: ConvexQpModel, nu, mu, pi_l, pi_u) -> float:
     # that may be indefinite in full space), linear part separable over [l,u]
     g2 = -math.inf
     if not model.nullspace_convex:
-        contrib = np.where(
-            lin > 0.0, lin * model.lb, np.where(lin < 0.0, lin * model.ub, 0.0)
-        )
+        contrib = _box_min(model, lin)
         if np.all(np.isfinite(contrib)):
             g2 = base + float(np.sum(contrib))
     return max(g1, g2)
+
+
+def _row_lagrangian(model: ConvexQpModel, nu, mu):
+    """(lin, base) with q'x + nu'(Ax - b) + mu'(Cx - d) + offset = lin'x + base."""
+    lin = model.q.copy()
+    if model.A.shape[0]:
+        lin += model.A.T @ nu
+    if model.C.shape[0]:
+        lin += model.C.T @ mu
+    base = model.offset
+    if model.A.shape[0]:
+        base -= float(nu @ model.b)
+    if model.C.shape[0]:
+        base -= float(mu @ model.d)
+    return lin, base
+
+
+def _box_min(model: ConvexQpModel, lin) -> np.ndarray:
+    """Termwise minimum of lin_i x_i over l_i <= x_i <= u_i."""
+    return np.where(lin > 0.0, lin * model.lb, np.where(lin < 0.0, lin * model.ub, 0.0))
 
 
 def _infeasible(model: ConvexQpModel) -> QpSolution:
@@ -423,7 +457,8 @@ def _lagrangian_grad(model: ConvexQpModel, x, nu, mu, pi_l, pi_u) -> np.ndarray:
 
 
 def _solution(model: ConvexQpModel, status, x, nu, y, iterations) -> QpSolution:
-    """The solution at x.  `y` stacks the multipliers of the rows [C; I] (the
+    """The solution at x (None when the solver has no point; the objective
+    is then nan).  `y` stacks the multipliers of the rows [C; I] (the
     inequalities, then the box); `nu` holds the equality multipliers, or is
     None to fit them by least squares on the stationarity residual."""
     p = model.C.shape[0]
@@ -432,7 +467,8 @@ def _solution(model: ConvexQpModel, status, x, nu, y, iterations) -> QpSolution:
     if nu is None:
         grad = _lagrangian_grad(model, x, None, mu, pi_l, pi_u)
         nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
-    return QpSolution(status, x, _objective(model, x), nu, mu, pi_l, pi_u, iterations)
+    objective = _objective(model, x) if x is not None else math.nan
+    return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations)
 
 
 def _solve_full(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
@@ -520,16 +556,130 @@ def solve_convex_qp(
     return sol
 
 
-def solve_lp(
-    model: ConvexQpModel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    deadline: float | None = None,
-) -> QpSolution:
-    """Linear special case of solve_convex_qp (model.Q absent or zero)."""
+def _load_highs():
+    """HiGHS's compiled extension as shipped inside scipy, loaded by itself:
+    importing scipy.optimize around it would add about 19 MB and 0.3 s to
+    every process that solves an LP."""
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.exists(p)), None)
+    if path is None:
+        raise ImportError(f"the HiGHS extension of scipy is missing from {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS_CORE, loader))
+    loader.exec_module(module)
+    return module
+
+
+def _highs():
+    """The HiGHS extension, loaded on the first LP solve (reused when
+    scipy.optimize has already imported it); the lock makes that first load
+    happen once when worker threads race for it."""
+    global _highs_core
+    with _highs_lock:
+        if _highs_core is None:
+            _highs_core = sys.modules.get(_HIGHS_CORE) or _load_highs()
+    return _highs_core
+
+
+def _lp_bound(model: ConvexQpModel, nu, mu) -> float:
+    """Weak-duality bound of a linear model with the rows dualized at
+    (nu, mu clamped to >= 0) and the box kept primal, less BOUND_GUARD
+    relative to the magnitude of its terms (the scale of its rounding
+    error); -inf when a term is unbounded."""
+    mu = np.maximum(mu, 0.0)
+    lin, base = _row_lagrangian(model, nu, mu)
+    contrib = _box_min(model, lin)
+    if not np.all(np.isfinite(contrib)):
+        return -math.inf
+    magnitude = (
+        abs(model.offset)
+        + float(np.abs(nu) @ np.abs(model.b))
+        + float(mu @ np.abs(model.d))
+        + float(np.sum(np.abs(contrib)))
+    )
+    return base + float(np.sum(contrib)) - BOUND_GUARD * (1.0 + magnitude)
+
+
+def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
+    """Solve a linear model (model.Q absent or zero) with HiGHS dual simplex;
+    `deadline` (a time.monotonic() value) becomes HiGHS's time limit and
+    `iterations` counts simplex iterations.  Statuses: optimal, infeasible
+    (certified by _interval_presolve, or by HiGHS's dual ray passing the
+    Farkas test), else max_iter.  `bound` is +inf for an infeasible model,
+    -inf for an infeasibility HiGHS claims but cannot certify, else the
+    weak-duality bound at HiGHS's multipliers (_lp_bound)."""
     if model.Q is not None and np.any(model.Q):
         raise ValueError("solve_lp requires a linear objective")
-    return solve_convex_qp(model, tol=tol, max_iter=max_iter, deadline=deadline)
+    if _interval_presolve(model):
+        return _infeasible(model)
+    hc = _highs()
+    n, m, p = model.nvar, model.A.shape[0], model.C.shape[0]
+    M = np.vstack([model.A, model.C])
+    row_lo = np.concatenate([model.b, np.full(p, -math.inf)])
+    row_hi = np.concatenate([model.b, model.d])
+    cols, rows = np.nonzero(M.T)
+    # a fresh matrix assigned whole: edits to the fields of lp.a_matrix_ are
+    # lost, and the LP then solves without rows
+    mat = hc.HighsSparseMatrix()
+    mat.format_ = hc.MatrixFormat.kColwise
+    mat.num_col_, mat.num_row_ = n, m + p
+    mat.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    mat.index_ = rows
+    mat.value_ = M[rows, cols]
+    lp = hc.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m + p
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.q, model.lb, model.ub
+    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+    lp.a_matrix_ = mat
+    highs = hc._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("threads", 1)
+    highs.setOptionValue("solver", "simplex")
+    highs.setOptionValue("simplex_strategy", 1)        # dual simplex
+    if deadline is not None:
+        highs.setOptionValue("time_limit", max(deadline - time.monotonic(), 0.0))
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    iterations = int(highs.getInfo().simplex_iteration_count)
+
+    if status == hc.HighsModelStatus.kInfeasible:
+        _, has_ray, ray = highs.getDualRay()
+        # HiGHS's row duals carry the opposite sign to nu and mu; box rows
+        # absorbing -M'y make the Farkas test keep the box primal
+        y = -np.asarray(ray, dtype=float)
+        if has_ray and y.shape == (m + p,) and _farkas(
+            np.vstack([M, np.eye(n)]),
+            np.concatenate([row_lo, model.lb]),
+            np.concatenate([row_hi, model.ub]),
+            np.concatenate([y, -(M.T @ y)]),
+        ):
+            sol = _infeasible(model)
+            sol.iterations = iterations
+            return sol
+    found = highs.getSolution()
+    x = np.asarray(found.col_value, dtype=float)
+    x = np.clip(x, model.lb, model.ub) if found.value_valid and x.shape == (n,) else None
+    row_dual = np.asarray(found.row_dual, dtype=float)
+    col_dual = np.asarray(found.col_dual, dtype=float)
+    has_duals = row_dual.shape == (m + p,) and col_dual.shape == (n,)
+    if not has_duals:
+        row_dual, col_dual = np.zeros(m + p), np.zeros(n)
+    optimal = status == hc.HighsModelStatus.kOptimal and x is not None
+    sol = _solution(
+        model,
+        STATUS_OPTIMAL if optimal else STATUS_MAXITER,
+        x,
+        -row_dual[:m],
+        -np.concatenate([row_dual[m:], col_dual]),
+        iterations,
+    )
+    if optimal:
+        sol.kkt = verify_kkt(model, sol)
+    if has_duals and status != hc.HighsModelStatus.kInfeasible:
+        sol.bound = _lp_bound(model, sol.nu, sol.mu)
+    return sol
 
 
 def verify_kkt(

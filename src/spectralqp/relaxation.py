@@ -341,43 +341,32 @@ def build_mccormick_relaxation(
     R = restricted if restricted is not None else restrict(problem, node)
     nb = R.Qb.shape[0]
     l, u = R.lb, R.ub
-    pairs = [(i, i) for i in range(nb)]
-    pairs += [(i, j) for i in range(nb) for j in range(i + 1, nb) if R.Qb[i, j] != 0.0]
-    ncol = len(pairs)
+    iu, ju = np.triu_indices(nb, 1)
+    off = R.Qb[iu, ju] != 0.0
+    I = np.concatenate([np.arange(nb), iu[off]])
+    J = np.concatenate([np.arange(nb), ju[off]])
+    ncol = I.size
     nvar = nb + ncol
-    coeffs = np.array(
-        [R.Qb[i, i] if i == j else 2.0 * R.Qb[i, j] for (i, j) in pairs]
-    )
+    coeffs = np.where(I == J, 1.0, 2.0) * R.Qb[I, J]
     q = np.concatenate([R.qb, coeffs])
 
-    rows, rhs = [], []
-    xlb = np.concatenate([l, np.zeros(ncol)])
-    xub = np.concatenate([u, np.zeros(ncol)])
-    for t, (i, j) in enumerate(pairs):
-        li, ui, lj, uj = l[i], u[i], l[j], u[j]
-        col = nb + t
-        for (ci, cj, sgn, r) in (
-            (lj, li, -1.0, li * lj),     # X >= li xj + lj xi - li lj
-            (uj, ui, -1.0, ui * uj),     # X >= ui xj + uj xi - ui uj
-            (-uj, -li, 1.0, -li * uj),   # X <= li xj + uj xi - li uj
-            (-lj, -ui, 1.0, -ui * lj),   # X <= ui xj + lj xi - ui lj
-        ):
-            row = np.zeros(nvar)
-            row[i] += ci
-            row[j] += cj
-            row[col] = sgn
-            rows.append(row)
-            rhs.append(r)
-        corners = np.array([li * lj, li * uj, ui * lj, ui * uj])
-        xlb[col] = float(np.min(corners))
-        xub[col] = float(np.max(corners))
-    mcc_rows = np.array(rows) if rows else np.zeros((0, nvar))
-    mcc_rhs = np.array(rhs)
-
-    A = np.hstack([R.Ab, np.zeros((R.Ab.shape[0], ncol))]) if R.Ab.size else np.zeros((0, nvar))
-    C_node = np.hstack([R.Cb, np.zeros((R.Cb.shape[0], ncol))]) if R.Cb.size else np.zeros((0, nvar))
-    C = np.vstack([C_node, mcc_rows])
-    d = np.concatenate([R.db, mcc_rhs])
+    # rows p + 4t .. p + 4t + 3: the four envelopes of column t in the order
+    # above; += leaves the sum of both coefficients where i == j
+    li, ui, lj, uj = l[I], u[I], l[J], u[J]
+    p = R.Cb.shape[0]
+    C = np.zeros((p + 4 * ncol, nvar))
+    C[:p, :nb] = R.Cb
+    env = (p + np.arange(4 * ncol)).reshape(ncol, 4)
+    C[env, I[:, None]] += np.stack([lj, uj, -uj, -lj], axis=1)
+    C[env, J[:, None]] += np.stack([li, ui, -li, -ui], axis=1)
+    C[env, (nb + np.arange(ncol))[:, None]] = [-1.0, -1.0, 1.0, 1.0]
+    d = np.concatenate([R.db, np.stack([li * lj, ui * uj, -li * uj, -ui * lj], axis=1).ravel()])
+    corners = np.stack([li * lj, li * uj, ui * lj, ui * uj])
+    xlb = np.concatenate([l, corners.min(axis=0)])
+    xub = np.concatenate([u, corners.max(axis=0)])
+    A = np.zeros((R.Ab.shape[0], nvar))
+    A[:, :nb] = R.Ab
+    pairs = list(zip(I.tolist(), J.tolist()))
     return ConvexQpModel(
         kind="mccormick",
         Q=None,

@@ -3,7 +3,10 @@ verifier, and the reduced nullspace path."""
 
 import dataclasses
 import math
+import subprocess
+import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralqp import oracle, problem, qpsolve
-from spectralqp.relaxation import ConvexQpModel
+from spectralqp.relaxation import ConvexQpModel, NodeInfeasible
 
 
 def make_model(Q, q, offset=0.0, A=None, b=None, C=None, d=None, lb=None, ub=None, **kw):
@@ -103,7 +106,7 @@ def test_box_active_duals():
 
 
 def test_duplicate_rows_still_solved():
-    # polish must survive a rank-deficient active set
+    # a rank-deficient row set must not break the simplex
     model = make_model(
         None, [-1.0, 0.0], C=[[1.0, 0.0], [1.0, 0.0]], d=[0.5, 0.5],
         lb=[0.0, 0.0], ub=[1.0, 1.0], kind="lp",
@@ -111,6 +114,62 @@ def test_duplicate_rows_still_solved():
     sol = qpsolve.solve_lp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-0.5, abs=1e-7)
+
+
+def test_lp_engine_loads_highs_alone():
+    # the extension is loaded by itself: importing scipy.optimize would cost
+    # every process ~19 MB; an eig solve makes no LP and loads nothing
+    script = """
+import sys
+from spectralqp import qpsolve
+from spectralqp.bnb import SolverConfig, solve
+from spectralqp.problem import GeneratorSpec, generate_random
+prob = generate_random(GeneratorSpec(family="cbqp", n=8, k=2, seed=0))
+res = solve(prob, SolverConfig(relaxation="eig"))
+assert res.stats["lp_solves"] == 0
+print(qpsolve._highs_core is None, qpsolve._HIGHS_CORE in sys.modules)
+res = solve(prob, SolverConfig(relaxation="auto"))
+assert res.stats["lp_solves"] > 0 and res.stats["lp_iterations"] > 0
+print(qpsolve._highs_core is None, "scipy.optimize" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["True", "False", "False", "False"]
+
+
+def test_highs_first_load_runs_once_under_threads():
+    # more threads than cores race for the first load; a lost update would
+    # load the extension twice or hand threads different modules
+    script = """
+import importlib.machinery, sys, threading
+from spectralqp import qpsolve
+loads = []
+Loader = importlib.machinery.ExtensionFileLoader
+exec_module = Loader.exec_module
+def counting(self, module):
+    if self.name == qpsolve._HIGHS_CORE:
+        loads.append(module)
+    exec_module(self, module)
+Loader.exec_module = counting
+barrier = threading.Barrier(8)
+got = []
+def worker():
+    barrier.wait(timeout=30)
+    got.append(qpsolve._highs())
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=worker) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+print(len(loads), len(got), len({id(m) for m in got}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout.split() == ["1", "8", "1"]
 
 
 def test_solve_lp_rejects_quadratic():
@@ -157,6 +216,115 @@ def test_infeasible_joint_rows_certificate():
     sol = qpsolve.solve_convex_qp(model, max_iter=20_000)
     assert sol.status == qpsolve.STATUS_INFEASIBLE
     assert sol.bound == math.inf
+
+
+def test_lp_infeasible_joint_rows_certified_by_dual_ray():
+    # every row passes the interval test; HiGHS's dual ray proves the rest
+    model = make_model(
+        None,
+        [1.0, -1.0, 0.5],
+        A=[[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]],
+        b=[1.5, 0.2],
+        lb=np.zeros(3),
+        ub=np.ones(3),
+        kind="lp",
+    )
+    assert not qpsolve._interval_presolve(model)
+    sol = qpsolve.solve_lp(model)
+    assert sol.status == qpsolve.STATUS_INFEASIBLE
+    assert sol.bound == math.inf
+
+
+def test_lp_bogus_infeasibility_certifies_nothing(monkeypatch):
+    model = make_model(
+        None, [-1.0, -2.0], C=[[1.0, 1.0]], d=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0],
+        kind="lp",
+    )
+    core = qpsolve._highs()
+
+    class ClaimsInfeasible:
+        def __init__(self):
+            self._highs = core._Highs()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getModelStatus(self):
+            return core.HighsModelStatus.kInfeasible
+
+        def getDualRay(self):
+            return core.HighsStatus.kOk, True, np.array([1.0])
+
+    fake = types.ModuleType("fake_highs")
+    fake.__dict__.update(vars(core))
+    fake._Highs = ClaimsInfeasible
+    monkeypatch.setattr(qpsolve, "_highs", lambda: fake)
+    sol = qpsolve.solve_lp(model)
+    assert sol.status != qpsolve.STATUS_INFEASIBLE
+    assert sol.bound == -math.inf
+
+
+def test_lp_past_deadline_stops_with_a_valid_bound():
+    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+
+    prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=20, k=5, seed=0))
+    model = build_mccormick_relaxation(prob, root_restriction(prob))
+    ref = qpsolve.solve_lp(model)
+    assert ref.status == qpsolve.STATUS_OPTIMAL and ref.iterations > 0
+    sol = qpsolve.solve_lp(model, deadline=time.monotonic() - 1.0)
+    assert sol.status == qpsolve.STATUS_MAXITER
+    assert sol.iterations < ref.iterations
+    assert sol.bound <= ref.objective
+
+
+def _small_lps(family, n, seed, shrink):
+    """The root McCormick LP and the direction LPs of a small generated
+    instance, its box shrunk toward a random point by `shrink`."""
+    from spectralqp.relaxation import (
+        NodeRestriction, build_mccormick_relaxation, build_separable_relaxation,
+    )
+
+    kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": 1} if family == "eiqp" else {}
+    prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
+    rng = np.random.default_rng(seed)
+    mid = rng.uniform(prob.lb, prob.ub)
+    node = NodeRestriction(
+        free=tuple(range(prob.n)),
+        fixed={},
+        lb=prob.lb + shrink * (mid - prob.lb),
+        ub=prob.ub - shrink * (prob.ub - mid),
+    )
+    models = [build_mccormick_relaxation(prob, node)]
+
+    def record(lp):
+        models.append(lp)
+        return qpsolve.solve_lp(lp)
+
+    try:
+        build_separable_relaxation(prob, node, record)
+    except NodeInfeasible:
+        pass
+    return models
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["cbqp", "boxqp", "eiqp"]),
+    st.integers(2, 5),
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.3]),
+)
+def test_lp_bound_is_certified_and_exact(family, n, seed, shrink):
+    for model in _small_lps(family, n, seed, shrink):
+        sol = qpsolve.solve_lp(model)
+        if sol.status == qpsolve.STATUS_INFEASIBLE:
+            continue
+        assert sol.status == qpsolve.STATUS_OPTIMAL
+        # weak duality at a feasible point, and agreement with ADMM
+        assert sol.bound <= sol.objective
+        ref = qpsolve.solve_convex_qp(model)
+        assert ref.status == qpsolve.STATUS_OPTIMAL
+        assert abs(sol.bound - ref.bound) <= 1e-6 * (1.0 + abs(ref.bound))
 
 
 def test_reduced_inconsistent_equalities():
@@ -392,14 +560,21 @@ def test_past_deadline_stops_at_first_check():
     assert sol.iterations == qpsolve._CHECK_EVERY
 
 
-@pytest.mark.parametrize("seed", (0, 5))   # seed 0 runs out of iterations
-def test_polish_skips_a_repeated_active_set(monkeypatch, seed):
-    from spectralqp import bnb
-    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+# tolerances at rounding level, where most polishes fail: seed 0 runs out of
+# iterations, seed 5 converges through a late polish
+@pytest.mark.parametrize("seed, tol", [(0, 1e-16), (5, 1e-14)], ids=["0", "5"])
+def test_polish_skips_a_repeated_active_set(monkeypatch, seed, tol):
+    from spectralqp.relaxation import (
+        build_spectral_relaxation, restrict, root_restriction, shift_for_mode,
+    )
 
     prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=8, k=2, seed=seed))
-    model = build_mccormick_relaxation(prob, root_restriction(prob))
-    ref = qpsolve.solve_lp(model, max_iter=bnb.LP_MAX_ITER)
+    node = root_restriction(prob)
+    R = restrict(prob, node)
+    model = build_spectral_relaxation(
+        prob, node, shift_for_mode("eig", R.Qb, R.Ab), restricted=R
+    )
+    ref = qpsolve.solve_convex_qp(model, tol=tol, max_iter=500)
 
     signs = []
     polish = qpsolve._polish
@@ -409,7 +584,7 @@ def test_polish_skips_a_repeated_active_set(monkeypatch, seed):
         return polish(P, c, A, lo, hi, y)
 
     monkeypatch.setattr(qpsolve, "_polish", recorder)
-    sol = qpsolve.solve_lp(model, max_iter=bnb.LP_MAX_ITER)
+    sol = qpsolve.solve_convex_qp(model, tol=tol, max_iter=500)
     assert signs
     # _polish reads y only through its signs: a repeat would fail again
     assert not any(np.array_equal(a, b) for a, b in zip(signs, signs[1:]))
