@@ -13,11 +13,13 @@ LP with per-class solve intervals omega: a relaxation runs when at least
 omega nodes passed since it last ran, whichever bound proves stronger at a
 node where both ran gets its interval shrunk and the other grown
 (dynamic_selection_update).  A node's bound is the certified `bound` of its
-relaxation solve (qpsolve owns the certificate): spectral QPs are solved by
-ADMM, McCormick LPs exactly by HiGHS dual simplex.  A QP without a bound
-falls back to the LP and then to the parent bound.  Relaxation solves stop
-at the time limit too (the LP through HiGHS's own time limit), returning
-whatever bound they have certified by then, and no LP starts past it.
+relaxation solve (qpsolve owns the certificate, finite for every solve that
+does not prove the node empty): spectral QPs are solved by ADMM, McCormick
+LPs exactly by HiGHS dual simplex.  A node whose solve certifies nothing
+(a NaN bound, or no LP past the deadline) keeps its parent bound.
+Relaxation solves stop at the time limit too (the LP through HiGHS's own
+time limit), returning whatever bound they have certified by then, and no
+LP starts past it.
 
 Every run is single-threaded and deterministic for a fixed (problem, config):
 the trace (one record per node) and result are bit-reproducible.
@@ -324,12 +326,7 @@ class _Engine:
             bound, x = self._solve_lp(entry, R)
             return bound, x, None, "mccormick"
         if cfg.relaxation != MODE_AUTO:
-            bound, x, shift, kind = self._solve_qp(entry, R)
-            if bound is None:
-                lp_bound, lp_x = self._solve_lp(entry, R)
-                if lp_bound is not None:
-                    return lp_bound, lp_x if lp_x is not None else x, shift, "mccormick"
-            return bound, x, shift, kind
+            return self._solve_qp(entry, R)
 
         # AUTO: counters advance every node, solve whatever is due
         sel = self.selection
@@ -343,7 +340,7 @@ class _Engine:
         if due_qp:
             f_qp, x_qp, shift, kind = self._solve_qp(entry, R)
             since_qp = 0
-        if due_lp or (due_qp and f_qp is None):
+        if due_lp:
             f_lp, x_lp = self._solve_lp(entry, R)
             since_lp = 0
         if f_qp is not None and f_lp is not None:
@@ -366,8 +363,7 @@ def _fixed_child(node: NodeRestriction, idx: int, value: float) -> NodeRestricti
 
 
 def _branch_children(problem, config, entry, R, x_rel, shift):
-    """Create child restrictions; returns (children, branch_index) or None
-    when the node cannot be split further."""
+    """Create child restrictions; returns (children, branch_index)."""
     node = entry.node
     free = node.free
     x_rel = np.asarray(x_rel, dtype=float)
@@ -420,15 +416,18 @@ def _branch_children(problem, config, entry, R, x_rel, shift):
     alpha = shift.alpha if shift is not None else 0.0
     try:
         dec = branching.spatial_branch(node, x_rel, R.Qb, alpha=alpha)
+        t, split = free.index(dec.index), dec.split
     except ValueError:
-        return None
-    t = free.index(dec.index)
+        # no envelope slack at x_rel (a box vertex, say) says nothing about
+        # the bound: bisect the widest variable
+        t = int(np.argmax(node.ub - node.lb))
+        split = 0.5 * (node.lb[t] + node.ub[t])
     children = []
-    for new_lo, new_up in ((node.lb[t], dec.split), (dec.split, node.ub[t])):
+    for new_lo, new_up in ((node.lb[t], split), (split, node.ub[t])):
         lb, ub = node.lb.copy(), node.ub.copy()
         lb[t], ub[t] = new_lo, new_up
         children.append(NodeRestriction(free=free, fixed=dict(node.fixed), lb=lb, ub=ub))
-    return children, dec.index
+    return children, free[t]
 
 
 def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
@@ -486,14 +485,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             return True
         return False
 
-    def decide_by_center(entry, bound, kind):
-        """A collapsed or unsplittable box: its center is the only candidate."""
-        node = entry.node
-        x = _assemble_full(problem, node, 0.5 * (node.lb + node.ub))
-        if check_feasibility(problem, x).feasible:
-            try_incumbent(evaluate_objective(problem, x), x)
-        close(entry, bound, kind, "fathom_tiny_box")
-
     while heap:
         if cfg.time_limit is not None and time.monotonic() - t0 > cfg.time_limit:
             status = STATUS_TIME_LIMIT
@@ -523,7 +514,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         R = restrict(problem, node)
         unfixed_int = any(i in problem.integers for i in node.free)
         if not unfixed_int and float(np.max(node.ub - node.lb)) <= TINY_BOX:
-            decide_by_center(entry, entry.bound, None)
+            # a collapsed box: its center is the only candidate
+            x = _assemble_full(problem, node, 0.5 * (node.lb + node.ub))
+            if check_feasibility(problem, x).feasible:
+                try_incumbent(evaluate_objective(problem, x), x)
+            close(entry, entry.bound, None, "fathom_tiny_box")
             continue
 
         try:
@@ -544,11 +539,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
 
         if x_rel is None:
             x_rel = 0.5 * (node.lb + node.ub)
-        made = _branch_children(problem, cfg, entry, R, x_rel, shift)
-        if made is None:
-            decide_by_center(entry, node_bound, kind)
-            continue
-        children, branch_var = made
+        children, branch_var = _branch_children(problem, cfg, entry, R, x_rel, shift)
         record(entry, node_bound, kind, branch_var, "branch")
         for child in children:
             if np.any(child.lb > child.ub + 1e-12):

@@ -106,8 +106,9 @@ def _load_instance(path: str) -> ProblemInstance:
 
 def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
     """Root-node lower bound from one relaxation: the certified `bound` of
-    its solve, +inf when it certifies infeasibility, nan when it certifies
-    nothing."""
+    its solve (finite for every QP, and for every LP HiGHS returns
+    multipliers for), +inf when it certifies infeasibility, nan when it
+    certifies nothing."""
     node = root_restriction(problem)
     R = restrict(problem, node)
     method = method.lower()

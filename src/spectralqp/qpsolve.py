@@ -3,9 +3,8 @@
 Two engines, one per problem class.  Linear models (the McCormick node LPs
 and the separable direction LPs) go to solve_lp: HiGHS dual simplex, whose
 compiled extension is loaded from scipy on the first LP solve without
-importing scipy.optimize.  Its bound is the weak-duality value at HiGHS's
-row duals with the box kept primal, and a claimed infeasibility counts only
-once its dual ray passes the Farkas test.
+importing scipy.optimize.  A claimed infeasibility counts only once its
+dual ray passes the Farkas test.
 
 Quadratic models go to solve_convex_qp, an operator-splitting (ADMM)
 iteration on
@@ -29,9 +28,13 @@ multipliers are then recovered by least squares on the stationarity residual.
 
 A solution holds the status, x, objective, multipliers and iteration count
 (ADMM or simplex iterations), its one certified lower bound on the model
-optimum, `bound` (see solve_convex_qp and solve_lp; callers read it rather
-than the status), and for an optimal solve the scaled residuals of
-verify_kkt, `kkt`, its only residual record.
+optimum, `bound`, and for an optimal solve the scaled residuals of
+verify_kkt, `kkt`, its only residual record.  Callers read `bound` rather
+than the status.  Both engines set it by one formula, _bound: the rows
+dualized at the returned multipliers, the box kept primal, and the
+Lagrangian linearized at the returned point, so it holds for a truncated
+solve and a KKT-failed one alike; with Q absent it is the weak-duality value
+of the multipliers.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ STATUS_MAXITER = "max_iter"
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_KKT_TOL = 1e-6
-BOUND_GUARD = 1e-9     # subtracted (relative) from KKT-certified objectives
+BOUND_GUARD = 1e-9     # relative rounding guard of _bound
 
 _SIGMA = 1e-6          # proximal regularization
 _ALPHA = 1.6           # over-relaxation
@@ -371,45 +374,6 @@ def _objective(model: ConvexQpModel, x: np.ndarray) -> float:
     return val
 
 
-def _dual_bound(model: ConvexQpModel, nu, mu, pi_l, pi_u) -> float:
-    """Lagrangian lower bound on the model optimum at the given multipliers.
-    Any nonnegative clamping of inequality multipliers keeps the bound valid,
-    so sloppy iterates are clamped rather than rejected.  Two routes: the
-    fully dualized bound with an unconstrained inner minimum, and (for PSD
-    quadratics) the bound with the box kept primal so the inner linear part
-    minimizes separably over [l, u].  Returns the better of the two, -inf
-    when neither is certifiable."""
-    mu = np.maximum(mu, 0.0)
-    pi_l = np.maximum(pi_l, 0.0)
-    pi_u = np.maximum(pi_u, 0.0)
-    lin, base = _row_lagrangian(model, nu, mu)
-
-    lin1 = lin + pi_u - pi_l
-    g1 = -math.inf
-    if model.Q is not None and np.any(model.Q):
-        P = 2.0 * model.Q
-        sol, _, _, _ = np.linalg.lstsq(P, -lin1, rcond=None)
-        resid = float(np.max(np.abs(P @ sol + lin1), initial=0.0))
-        if resid <= 1e-7 * (1.0 + float(np.max(np.abs(lin1)))):
-            g1 = (
-                float(sol @ model.Q @ sol + lin1 @ sol)
-                + base
-                + float(pi_l @ model.lb)
-                - float(pi_u @ model.ub)
-            )
-    elif float(np.max(np.abs(lin1), initial=0.0)) <= 1e-7:
-        g1 = base + float(pi_l @ model.lb) - float(pi_u @ model.ub)
-
-    # box kept primal: x'Qx >= 0 for PSD Q (nullspace_convex marks the models
-    # that may be indefinite in full space), linear part separable over [l,u]
-    g2 = -math.inf
-    if not model.nullspace_convex:
-        contrib = _box_min(model, lin)
-        if np.all(np.isfinite(contrib)):
-            g2 = base + float(np.sum(contrib))
-    return max(g1, g2)
-
-
 def _row_lagrangian(model: ConvexQpModel, nu, mu):
     """(lin, base) with q'x + nu'(Ax - b) + mu'(Cx - d) + offset = lin'x + base."""
     lin = model.q.copy()
@@ -428,6 +392,47 @@ def _row_lagrangian(model: ConvexQpModel, nu, mu):
 def _box_min(model: ConvexQpModel, lin) -> np.ndarray:
     """Termwise minimum of lin_i x_i over l_i <= x_i <= u_i."""
     return np.where(lin > 0.0, lin * model.lb, np.where(lin < 0.0, lin * model.ub, 0.0))
+
+
+def _bound(model: ConvexQpModel, x, nu, mu, curvature: float) -> float:
+    """Safe lower bound on the model optimum from any point x (Neumaier and
+    Shcherbina, Math. Prog. 2004).  With the rows dualized at (nu, mu clamped
+    to >= 0) and the box kept primal, the Lagrangian L obeys
+
+        L(x') >= L(x) + g'(x' - x) + min(curvature, 0) |x' - x|^2,  g = grad L(x),
+
+    for every feasible x'; its minimum over the box, less BOUND_GUARD
+    relative to the magnitude of its terms (the scale of its rounding error),
+    is returned.  `curvature` is lambda_min(Q), or lambda_min(Z'QZ) for a
+    reduced model, whose equality rows keep x' - x in the nullspace Z of A up
+    to the residual of A x - b; that residual's share of the quadratic is
+    subtracted too.  Q is left out when x is None, which only solve_lp
+    passes, for a model whose Q is absent or zero."""
+    mu = np.maximum(mu, 0.0)
+    lin, base = _row_lagrangian(model, nu, mu)
+    quad = reach = 0.0
+    if model.Q is not None and x is not None:
+        Qx = model.Q @ x
+        lin = lin + 2.0 * Qx
+        quad = float(x @ Qx)
+        far = np.maximum(model.ub - x, x - model.lb)
+        reach = min(curvature, 0.0) * float(far @ far)
+        if model.nullspace_convex and model.A.shape[0]:
+            # x' - x = Z w - v with v the row-space solution of A v = A x - b
+            v, _, _, _ = np.linalg.lstsq(model.A, model.A @ x - model.b, rcond=None)
+            reach -= float(np.linalg.norm(model.Q @ v)) * (
+                2.0 * float(np.linalg.norm(far)) + float(np.linalg.norm(v))
+            )
+    contrib = _box_min(model, lin)
+    magnitude = (
+        abs(model.offset)
+        + float(np.abs(nu) @ np.abs(model.b))
+        + float(mu @ np.abs(model.d))
+        + float(np.sum(np.abs(contrib)))
+        + abs(quad)
+        + abs(reach)
+    )
+    return base + float(np.sum(contrib)) - quad + reach - BOUND_GUARD * (1.0 + magnitude)
 
 
 def _infeasible(model: ConvexQpModel) -> QpSolution:
@@ -456,11 +461,12 @@ def _lagrangian_grad(model: ConvexQpModel, x, nu, mu, pi_l, pi_u) -> np.ndarray:
     return grad - pi_l + pi_u
 
 
-def _solution(model: ConvexQpModel, status, x, nu, y, iterations) -> QpSolution:
+def _solution(model: ConvexQpModel, status, x, nu, y, iterations, curvature=0.0) -> QpSolution:
     """The solution at x (None when the solver has no point; the objective
-    is then nan).  `y` stacks the multipliers of the rows [C; I] (the
-    inequalities, then the box); `nu` holds the equality multipliers, or is
-    None to fit them by least squares on the stationarity residual."""
+    is then nan), its bound +inf when `status` is infeasible, else _bound at
+    x.  `y` stacks the multipliers of the rows [C; I] (the inequalities, then
+    the box); `nu` holds the equality multipliers, or is None to fit them by
+    least squares on the stationarity residual."""
     p = model.C.shape[0]
     ybox = y[p:]
     mu, pi_l, pi_u = np.maximum(y[:p], 0.0), np.maximum(-ybox, 0.0), np.maximum(ybox, 0.0)
@@ -468,7 +474,8 @@ def _solution(model: ConvexQpModel, status, x, nu, y, iterations) -> QpSolution:
         grad = _lagrangian_grad(model, x, None, mu, pi_l, pi_u)
         nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
     objective = _objective(model, x) if x is not None else math.nan
-    return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations)
+    bound = math.inf if status == STATUS_INFEASIBLE else _bound(model, x, nu, mu, curvature)
+    return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound)
 
 
 def _solve_full(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
@@ -477,7 +484,8 @@ def _solve_full(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
     A_s, lo, hi = _stack(model)
     raw = _admm(P, model.q, A_s, lo, hi, tol, max_iter, deadline)
     m = model.A.shape[0]
-    return _solution(model, raw.status, raw.x, raw.y[:m], raw.y[m:], raw.iterations)
+    curvature = float(np.linalg.eigvalsh(model.Q)[0]) if model.Q is not None else 0.0
+    return _solution(model, raw.status, raw.x, raw.y[:m], raw.y[m:], raw.iterations, curvature)
 
 
 def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
@@ -521,7 +529,8 @@ def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
     raw = _admm(
         Pz, cz, A_s, np.concatenate(lons), np.concatenate(hins), tol, max_iter, deadline
     )
-    return _solution(model, raw.status, x0 + Z @ raw.x, None, raw.y, raw.iterations)
+    curvature = 0.5 * float(np.linalg.eigvalsh(Pz)[0])
+    return _solution(model, raw.status, x0 + Z @ raw.x, None, raw.y, raw.iterations, curvature)
 
 
 def solve_convex_qp(
@@ -534,25 +543,14 @@ def solve_convex_qp(
     primal and dual residuals.  Statuses: optimal, infeasible, max_iter (out
     of iterations, or past `deadline`, a time.monotonic() value; x is then
     the best iterate).  `bound` certifies the model optimum from below: +inf
-    for an infeasible model, the objective less BOUND_GUARD (relative) for an
-    optimal solve passing verify_kkt at DEFAULT_KKT_TOL, else the Lagrangian
-    bound at the returned multipliers, or -inf."""
+    for an infeasible model, else _bound at the returned point, whatever the
+    status.  An optimal solve also carries its verify_kkt report, `kkt`."""
     if _interval_presolve(model):
         return _infeasible(model)
     reduced = model.nullspace_convex and model.A.shape[0] > 0
     sol = (_solve_reduced if reduced else _solve_full)(model, tol, max_iter, deadline)
-    if sol.status == STATUS_INFEASIBLE:
-        sol.bound = math.inf
-        return sol
     if sol.status == STATUS_OPTIMAL:
         sol.kkt = verify_kkt(model, sol)
-        if sol.kkt.passed:
-            sol.bound = sol.objective - BOUND_GUARD * (1.0 + abs(sol.objective))
-            return sol
-    if not reduced:
-        # the Lagrangian bound needs Q convex in full space, which reduced
-        # models are not
-        sol.bound = _dual_bound(model, sol.nu, sol.mu, sol.pi_l, sol.pi_u)
     return sol
 
 
@@ -582,33 +580,14 @@ def _highs():
     return _highs_core
 
 
-def _lp_bound(model: ConvexQpModel, nu, mu) -> float:
-    """Weak-duality bound of a linear model with the rows dualized at
-    (nu, mu clamped to >= 0) and the box kept primal, less BOUND_GUARD
-    relative to the magnitude of its terms (the scale of its rounding
-    error); -inf when a term is unbounded."""
-    mu = np.maximum(mu, 0.0)
-    lin, base = _row_lagrangian(model, nu, mu)
-    contrib = _box_min(model, lin)
-    if not np.all(np.isfinite(contrib)):
-        return -math.inf
-    magnitude = (
-        abs(model.offset)
-        + float(np.abs(nu) @ np.abs(model.b))
-        + float(mu @ np.abs(model.d))
-        + float(np.sum(np.abs(contrib)))
-    )
-    return base + float(np.sum(contrib)) - BOUND_GUARD * (1.0 + magnitude)
-
-
 def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
     """Solve a linear model (model.Q absent or zero) with HiGHS dual simplex;
     `deadline` (a time.monotonic() value) becomes HiGHS's time limit and
     `iterations` counts simplex iterations.  Statuses: optimal, infeasible
     (certified by _interval_presolve, or by HiGHS's dual ray passing the
     Farkas test), else max_iter.  `bound` is +inf for an infeasible model,
-    -inf for an infeasibility HiGHS claims but cannot certify, else the
-    weak-duality bound at HiGHS's multipliers (_lp_bound)."""
+    -inf for an infeasibility HiGHS claims but cannot certify, else _bound at
+    HiGHS's multipliers, which with Q absent is their weak-duality value."""
     if model.Q is not None and np.any(model.Q):
         raise ValueError("solve_lp requires a linear objective")
     if _interval_presolve(model):
@@ -677,8 +656,8 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
     )
     if optimal:
         sol.kkt = verify_kkt(model, sol)
-    if has_duals and status != hc.HighsModelStatus.kInfeasible:
-        sol.bound = _lp_bound(model, sol.nu, sol.mu)
+    if not has_duals or status == hc.HighsModelStatus.kInfeasible:
+        sol.bound = -math.inf       # no multipliers to certify with
     return sol
 
 

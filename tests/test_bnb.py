@@ -387,6 +387,29 @@ def test_no_lp_after_deadline(mode, monkeypatch):
     assert res.status == "time_limit"
 
 
+def test_optimal_only_when_the_gap_closes(monkeypatch):
+    # a QP stand-in whose point is a box vertex: no variable has envelope
+    # slack there, yet the bound is far from the incumbent
+    prob = generate_random(GeneratorSpec(family="boxqp", n=10, seed=2))
+    ref = solve(prob, SolverConfig(relaxation="eig", keep_trace=False)).f_ubd
+    assert ref == pytest.approx(-61.15, abs=5e-3)
+    real_qp = qpsolve.solve_convex_qp
+
+    def vertex_qp(model, **kwargs):
+        sol = real_qp(model, **kwargs)
+        return dataclasses.replace(sol, x=model.lb.copy(), kkt=None)
+
+    monkeypatch.setattr(qpsolve, "solve_convex_qp", vertex_qp)
+    cfg = SolverConfig(relaxation="eig", node_limit=2000)
+    res = solve(prob, cfg)
+    if res.status == "optimal":
+        assert res.f_ubd == pytest.approx(ref, abs=1e-6)
+        assert res.f_lbd >= res.f_ubd - cfg.abs_tol or res.gap_percent <= 100.0 * cfg.rel_tol
+    else:
+        assert res.status == "node_limit"
+    assert res.f_lbd <= ref + 1e-9
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["boxqp", "cbqp"]),

@@ -1,7 +1,8 @@
 """Convex QP/LP solver: worked solutions, status handling, duals, the KKT
-verifier, and the reduced nullspace path."""
+verifier, the reduced nullspace path, and the validity of every bound."""
 
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -520,11 +521,17 @@ def test_optimal_bound_is_guarded_objective():
     model = make_model([[1.0]], [-2.0], offset=5.0, lb=[0.0], ub=[2.0])
     sol = qpsolve.solve_convex_qp(model)
     assert sol.kkt.passed
-    guard = qpsolve.BOUND_GUARD * (1.0 + abs(sol.objective))
-    assert sol.bound == sol.objective - guard
+    # the bound at a KKT point sits below the objective by at most the
+    # rounding guard plus what the residuals leave open
+    rep = sol.kkt
+    slack = max(rep.stationarity, rep.primal, rep.complementarity, rep.dual_violation)
+    assert sol.bound <= sol.objective
+    assert sol.objective - sol.bound <= (10.0 * qpsolve.BOUND_GUARD + slack) * (
+        1.0 + abs(sol.objective)
+    )
 
 
-def test_kkt_failed_optimal_falls_back_to_lagrangian_bound(monkeypatch):
+def test_kkt_failed_optimal_keeps_its_bound(monkeypatch):
     model = make_model(
         np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([0.7, -1.3]),
         A=[[1.1, 3.3]], b=[1.0], lb=[-5.0, -5.0], ub=[5.0, 5.0],
@@ -538,8 +545,9 @@ def test_kkt_failed_optimal_falls_back_to_lagrangian_bound(monkeypatch):
     assert sol.bound <= ref.objective + 1e-9
 
 
-def test_kkt_failed_reduced_solve_certifies_nothing(monkeypatch):
-    # the Lagrangian bound needs full-space convexity, which Q lacks here
+def test_kkt_failed_reduced_solve_keeps_a_valid_bound(monkeypatch):
+    # Q is indefinite in full space but convex on the nullspace of A; the
+    # optimum is x = (0, 0.5), value -0.25
     model = make_model(
         np.diag([1.0, -1.0]), np.zeros(2), A=[[0.0, 1.0]], b=[0.5], nullspace_convex=True,
     )
@@ -547,7 +555,110 @@ def test_kkt_failed_reduced_solve_certifies_nothing(monkeypatch):
     monkeypatch.setattr(
         qpsolve, "verify_kkt", lambda model, sol: qpsolve.KktReport(1.0, 0.0, 0.0, 0.0, False)
     )
-    assert qpsolve.solve_convex_qp(model).bound == -math.inf
+    bound = qpsolve.solve_convex_qp(model).bound
+    assert math.isfinite(bound) and bound <= -0.25
+
+
+def _root_qp(family, n, seed, mode, **kw):
+    from spectralqp.relaxation import (
+        build_spectral_relaxation, restrict, root_restriction, shift_for_mode,
+    )
+
+    prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
+    node = root_restriction(prob)
+    R = restrict(prob, node)
+    return build_spectral_relaxation(prob, node, shift_for_mode(mode, R.Qb, R.Ab), restricted=R)
+
+
+def test_truncated_solve_of_a_singular_qp_bounds_the_optimum():
+    # the eig shift leaves Q singular; 50 iterations stop short of optimal
+    model = _root_qp("boxqp", 6, 14, "eig")
+    sol = qpsolve.solve_convex_qp(model, max_iter=50)
+    assert sol.status == qpsolve.STATUS_MAXITER
+    # the optimum, by active-set enumeration (see _face_min)
+    assert sol.bound <= -28.58583897090549
+
+
+def _face_min(model, fixed, rows):
+    """The minimizer of the model over the face where the variables in
+    `fixed` (index -> value) sit on that bound and the C rows `rows` hold
+    with equality, the equality rows kept: the face's KKT system solved by
+    least squares.  None when the system is inconsistent or its point leaves
+    the model's feasible set (to 1e-11 relative)."""
+    n = model.nvar
+    Q = model.Q if model.Q is not None else np.zeros((n, n))
+    fix = np.array(sorted(fixed), dtype=int)
+    free = np.array([i for i in range(n) if i not in fixed], dtype=int)
+    x = np.zeros(n)
+    x[fix] = [fixed[i] for i in fix]
+    E = np.vstack([model.A, model.C[rows]])
+    e = np.concatenate([model.b, model.d[rows]]) - E[:, fix] @ x[fix]
+    E = E[:, free]
+    k = E.shape[0]
+    K = np.block([[2.0 * Q[np.ix_(free, free)], E.T], [E, np.zeros((k, k))]])
+    rhs = np.concatenate([-(model.q[free] + 2.0 * Q[np.ix_(free, fix)] @ x[fix]), e])
+    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
+    if float(np.max(np.abs(K @ sol - rhs), initial=0.0)) > 1e-9 * scale:
+        return None
+    x[free] = sol[: free.size]
+    tol = 1e-11 * (1.0 + float(np.max(np.abs(x))))
+    feasible = (
+        np.all(x >= model.lb - tol) and np.all(x <= model.ub + tol)
+        and np.all(np.abs(model.A @ x - model.b) <= tol)
+        and np.all(model.C @ x <= model.d + tol)
+    )
+    return x if feasible else None
+
+
+def _model_optimum(model):
+    """The model optimum by active-set enumeration: the least objective over
+    the feasible face minimizers.  Models without C rows enumerate every box
+    face (3^n); for a linear model the face is the set of constraints active
+    at HiGHS's optimal vertex, recomputed in float64."""
+    if model.C.shape[0] == 0:
+        faces = []
+        for pick in itertools.product((None, "l", "u"), repeat=model.nvar):
+            faces.append(
+                {i: (model.lb[i] if s == "l" else model.ub[i]) for i, s in enumerate(pick) if s}
+            )
+        rows = np.zeros(0, dtype=int)
+        points = [_face_min(model, f, rows) for f in faces]
+    else:
+        x = qpsolve.solve_lp(model).x
+        tol = 1e-7 * (1.0 + float(np.max(np.abs(x))))
+        fixed = {i: model.lb[i] for i in np.flatnonzero(x - model.lb <= tol)}
+        fixed.update({i: model.ub[i] for i in np.flatnonzero(model.ub - x <= tol)})
+        points = [_face_min(model, fixed, np.flatnonzero(model.C @ x >= model.d - tol))]
+    values = [qpsolve._objective(model, x) for x in points if x is not None]
+    assert values, "no feasible face minimizer"
+    return min(values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["cbqp", "boxqp", "eiqp"]),
+    st.integers(2, 6),
+    st.integers(0, 10_000),
+)
+def test_bound_never_exceeds_the_model_optimum(family, n, seed):
+    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+
+    kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": 1} if family == "eiqp" else {}
+    prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
+    lp = build_mccormick_relaxation(prob, root_restriction(prob))
+    models = [_root_qp(family, n, seed, mode, **kw) for mode in ("eig", "geig", "eigz")]
+    for model in models + [lp]:
+        best = _model_optimum(model)
+        sols = [
+            qpsolve.solve_convex_qp(model, max_iter=max_iter)
+            for max_iter in (10, 50, 200, qpsolve.DEFAULT_MAX_ITER)
+        ]
+        if model is lp:
+            sols.append(qpsolve.solve_lp(lp))
+        for sol in sols:
+            assert sol.status != qpsolve.STATUS_INFEASIBLE
+            assert sol.bound <= best, (model.kind, model.nullspace_convex, sol.iterations)
 
 
 def test_past_deadline_stops_at_first_check():
