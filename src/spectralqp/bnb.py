@@ -1,12 +1,14 @@
 """Branch-and-bound engine for nonconvex (MI)QP over boxes with linear rows.
 
 Nodes live on a best-bound heap (ties by creation order).  Each popped node is
-restricted, bounded by the configured relaxation, fathomed when its bound
-cannot beat the incumbent minus abs_tol, and otherwise branched: binary
-variables through the spectral rules, general integers by most-fractional
-bound splits, continuous nonconvex variables by envelope-violation spatial
-splits.  Convex nodes (Q restricted PSD, or PSD on the equality nullspace)
-skip the shift and solve the plain relaxation.
+restricted, bounded by the configured relaxation, and fathomed when its bound
+cannot beat the incumbent minus abs_tol.  A surviving node searches its
+relaxation point for an incumbent, is tested again when that improved the
+incumbent, and is otherwise branched: binary variables through the spectral
+rules, general integers by most-fractional bound splits, continuous
+nonconvex variables by envelope-violation spatial splits.  Convex nodes (Q
+restricted PSD, or PSD on the equality nullspace) skip the shift and solve
+the plain relaxation.
 
 In AUTO mode the engine arbitrates between the spectral QP and the McCormick
 LP with per-class solve intervals omega: a relaxation runs when at least
@@ -528,14 +530,17 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             continue
         node_bound = entry.bound if bound is None else max(entry.bound, bound)
 
+        if fathom(entry, node_bound, kind, "fathom_bound"):
+            continue
+        # no heuristic at a fathomed node: no point in it beats its bound,
+        # so an incumbent found there would gain less than the tolerances
         if x_rel is not None:
             cand = upper_bound_heuristic(problem, node, x_rel, f_ubd)
             if cand is not None:
                 try_incumbent(*cand)
                 eng.stats["heuristic_hits"] += 1
-
-        if fathom(entry, node_bound, kind, "fathom_bound"):
-            continue
+                if fathom(entry, node_bound, kind, "fathom_bound"):
+                    continue
 
         if x_rel is None:
             x_rel = 0.5 * (node.lb + node.ub)

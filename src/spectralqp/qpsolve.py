@@ -13,13 +13,14 @@ iteration on
 
 with all model constraints (equalities, inequalities, box) stacked into A_s.
 Equality rows carry a boosted penalty, data is equilibrated in one pass, and
-the step size adapts to the primal/dual residual ratio.  Each iteration
-back-substitutes through the Cholesky factor with LAPACK potrs, called
-directly.  Near convergence the iterate is polished by solving the KKT system
-of the active constraints, which typically lands the solution at machine
-precision; a polish reruns only when the active set (the dual signs) has
-changed since the last failed one.  Termination tests the unscaled residuals
-against tol * (1 + data scale).
+the step size adapts to the primal/dual residual ratio.  Each iteration is
+one affine map of the state [x; z + y/rho; z] followed by a clip onto the
+row bounds; the map is built from the Cholesky factor of the x-update
+matrix, again whenever the step size changes.  Near convergence the iterate
+is polished by solving the KKT system of the active constraints, which
+typically lands the solution at machine precision; a polish reruns only when
+the active set (the dual signs) has changed since the last failed one.
+Termination tests the unscaled residuals against tol * (1 + data scale).
 
 Models flagged `nullspace_convex` (curvature nonnegative only on the equality
 manifold) are solved in reduced coordinates x = x0 + Z z, where x0 is a least
@@ -237,13 +238,39 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
                 continue
         raise np.linalg.LinAlgError("x-update matrix is not positive definite")
 
-    chol = factor(rho)
-    # the routine cho_solve would pick, called without its per-call wrapper
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
-    x = np.zeros(n)
-    z = np.clip(np.zeros(m), los, his)
-    y = np.zeros(m)
-    y_mark = y.copy()
+    def step_map(rho_vec):
+        """One iteration as an affine map: (T, t) with X[:n+m] <- T X + t,
+        then z <- clip(s), over the state X = [x; s; z] with s = z + y/rho,
+        so y = rho (s - z).  With xh = K^-1 (sigma x - cs + A'R(2z - s)),
+        K = Ps + sigma I + A'RA and R = diag(rho), the step is
+        x <- alpha xh + (1 - alpha) x and s <- alpha A xh + (1 - alpha) z +
+        s - z.  K^-1 A'R and K^-1 cs come from triangular solves with the
+        factor on those columns: a product with an explicit inverse loses
+        the accuracy that the boosted equality penalty needs."""
+        chol = factor(rho_vec)
+        cols = scipy.linalg.cho_solve(
+            (chol, True), np.hstack([np.eye(n), As.T * rho_vec, cs[:, None]]),
+            check_finite=False,
+        )
+        L, G, Lc = cols[:, :n], cols[:, n:n + m], cols[:, n + m]
+        H = As @ G
+        T = np.empty((n + m, n + 2 * m))
+        T[:n, :n] = (1.0 - _ALPHA) * np.eye(n) + _ALPHA * _SIGMA * L
+        T[:n, n:n + m] = -_ALPHA * G
+        T[:n, n + m:] = 2.0 * _ALPHA * G
+        T[n:, :n] = _ALPHA * _SIGMA * (As @ L)
+        T[n:, n:n + m] = np.eye(m) - _ALPHA * H
+        T[n:, n + m:] = 2.0 * _ALPHA * H - _ALPHA * np.eye(m)
+        t = -_ALPHA * np.concatenate([Lc, As @ Lc])
+        return T, t
+
+    T, t = step_map(rho)
+    X = np.zeros(n + 2 * m)
+    x, s, z = X[:n], X[n:n + m], X[n + m:]
+    head = X[: n + m]
+    buf = np.empty(n + m)
+    z[:] = s[:] = np.clip(np.zeros(m), los, his)
+    y_mark = np.zeros(m)
 
     def unscaled(xs, ys, zs):
         xu = D * xs
@@ -294,18 +321,13 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
     while it < max_iter:
         inner = min(_CHECK_EVERY, max_iter - it)
         for _ in range(inner):
-            rhs = _SIGMA * x + As.T @ (rho * z - y) - cs if m else _SIGMA * x - cs
-            x_half, info = potrs(chol, rhs, lower=True, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-            x = _ALPHA * x_half + (1.0 - _ALPHA) * x
-            if m:
-                v = _ALPHA * (As @ x_half) + (1.0 - _ALPHA) * z
-                z_new = np.minimum(np.maximum(v + y / rho, los), his)
-                y = y + rho * (v - z_new)
-                z = z_new
+            np.dot(T, X, out=buf)
+            np.add(buf, t, out=head)
+            np.maximum(s, los, out=z)
+            np.minimum(z, his, out=z)
         it += inner
 
+        y = rho * (s - z)
         xu, yu, zu = unscaled(x, y, z)
         rp, sp, rd, sd = residuals(xu, yu, zu)
         tol_p = tol * (1.0 + sp)
@@ -336,10 +358,11 @@ def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
             scale_fac = math.sqrt(max(ratio, 1e-12))
             if scale_fac > 5.0 or scale_fac < 0.2:
                 rho = np.clip(rho * scale_fac, 1e-6, 1e6)
-                chol = factor(rho)
+                s[:] = z + y / rho      # the same duals at the new step size
+                T, t = step_map(rho)
 
     if best is None:
-        xu, yu, _ = unscaled(x, y, z)
+        xu, yu, _ = unscaled(x, rho * (s - z), z)
         best = (math.inf, xu, yu)
     # out of iterations: last chance polish, then best iterate; out of time:
     # best iterate only, as the polish is one dense KKT solve

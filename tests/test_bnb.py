@@ -504,6 +504,23 @@ def test_iteration_counters_sum_relaxation_solves(monkeypatch):
     assert res.stats["qp_iterations"] == qp_total > 0
 
 
+def test_heuristic_runs_only_at_nodes_that_survive_the_bound_test(monkeypatch):
+    heuristic = bnb.upper_bound_heuristic
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return heuristic(*args, **kwargs)
+
+    monkeypatch.setattr(bnb, "upper_bound_heuristic", counted)
+    prob = generate_random(GeneratorSpec(family="cbqp", n=16, k=4, seed=0))
+    res = solve(prob, SolverConfig(relaxation="eig"))
+    assert res.status == "optimal"
+    branched = sum(1 for r in res.trace if r["action"] == "branch")
+    # each call either branches its node or finds an incumbent
+    assert 0 < len(calls) <= branched + res.stats["heuristic_hits"]
+
+
 # ------------------------------------------------------------- relative gap
 
 

@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectralqp import oracle, problem, qpsolve
@@ -315,6 +315,7 @@ def _small_lps(family, n, seed, shrink):
     st.integers(0, 10_000),
     st.sampled_from([0.0, 0.3]),
 )
+@example("eiqp", 2, 208, 0.0)     # a root LP that ADMM once ran to max_iter on
 def test_lp_bound_is_certified_and_exact(family, n, seed, shrink):
     for model in _small_lps(family, n, seed, shrink):
         sol = qpsolve.solve_lp(model)
@@ -571,12 +572,26 @@ def _root_qp(family, n, seed, mode, **kw):
 
 
 def test_truncated_solve_of_a_singular_qp_bounds_the_optimum():
-    # the eig shift leaves Q singular; 50 iterations stop short of optimal
+    # the eig shift leaves Q singular; at a tolerance no iterate meets, 50
+    # iterations stop short of optimal (fewer leave the bound loose)
     model = _root_qp("boxqp", 6, 14, "eig")
-    sol = qpsolve.solve_convex_qp(model, max_iter=50)
+    sol = qpsolve.solve_convex_qp(model, tol=1e-16, max_iter=50)
     assert sol.status == qpsolve.STATUS_MAXITER
     # the optimum, by active-set enumeration (see _face_min)
     assert sol.bound <= -28.58583897090549
+
+
+def test_separable_root_qp_converges():
+    # equality rows carry a 1e3 penalty boost; the ADMM step must keep the
+    # accuracy of the Cholesky solves (a step built from an explicit inverse
+    # of the x-update matrix runs this QP to max_iter)
+    from spectralqp.relaxation import build_separable_relaxation, root_restriction
+
+    prob = problem.generate_random(problem.GeneratorSpec(family="eiqp", n=6, m=1, seed=209))
+    model = build_separable_relaxation(prob, root_restriction(prob), qpsolve.solve_lp)
+    sol = qpsolve.solve_convex_qp(model)
+    assert sol.status == qpsolve.STATUS_OPTIMAL
+    assert sol.iterations <= 5_000
 
 
 def _face_min(model, fixed, rows):
