@@ -25,7 +25,6 @@ def run(argv=None):
     ap.add_argument("--count", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=float, default=10.0)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="root_gaps_out")
     args = ap.parse_args(argv)
 
@@ -54,7 +53,6 @@ def run(argv=None):
             "root-gaps", corpus,
             "--out", csv_path,
             "--budget", str(args.budget),
-            "--jobs", str(args.jobs),
         ]
     )
     if code == 0:

@@ -295,9 +295,7 @@ class _Engine:
             self.stats["convex_nodes"] += 1
         else:
             shift = self._qp_shift(R, pair)
-        model = build_spectral_relaxation(
-            self.problem, entry.node, shift, restricted=R, qb_min=pair.value
-        )
+        model = build_spectral_relaxation(self.problem, entry.node, shift, restricted=R)
         self.stats["qp_solves"] += 1
         sol = qpsolve.solve_convex_qp(model, deadline=self.deadline)
         self.stats["qp_iterations"] += sol.iterations

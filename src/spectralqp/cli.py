@@ -24,7 +24,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -228,12 +227,7 @@ def cmd_root_gaps(args) -> int:
     if not paths:
         print(f"error: no instances found in {args.corpus}", file=sys.stderr)
         return EXIT_ERROR
-    work = lambda p: _root_gap_rows(p, args.budget)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, paths))
-    else:
-        results = [work(p) for p in paths]
+    results = [_root_gap_rows(p, args.budget) for p in paths]
     lines = []
     for meta, _ in results:
         lines.append(meta)
@@ -347,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=UPPER_BOUND_BUDGET_S,
         help="seconds for the incumbent run when the oracle is out of reach",
     )
-    p_gaps.add_argument("--jobs", type=int, default=1)
     p_gaps.set_defaults(func=cmd_root_gaps)
 
     p_study = sub.add_parser("branch-study", help="approx vs GCT branching gaps CSV")

@@ -22,8 +22,9 @@ typically lands the solution at machine precision; a polish reruns only when
 the active set (the dual signs) has changed since the last failed one.
 Termination tests the unscaled residuals against tol * (1 + data scale).
 
-Models flagged `nullspace_convex` (curvature nonnegative only on the equality
-manifold) are solved in reduced coordinates x = x0 + Z z, where x0 is a least
+A model with equality rows whose Q is indefinite, lambda_min(Q) < -PSD_SLACK
+(curvature nonnegative only on the equality manifold, as an eigz shift can
+leave it), is solved in reduced coordinates x = x0 + Z z, where x0 is a least
 squares particular solution and Z an orthonormal nullspace basis; equality
 multipliers are then recovered by least squares on the stationarity residual.
 
@@ -63,6 +64,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_KKT_TOL = 1e-6
 BOUND_GUARD = 1e-9     # relative rounding guard of _bound
+PSD_SLACK = 1e-8       # lambda_min(Q) below -PSD_SLACK: solve in reduced coordinates
 
 _SIGMA = 1e-6          # proximal regularization
 _ALPHA = 1.6           # over-relaxation
@@ -417,7 +419,7 @@ def _box_min(model: ConvexQpModel, lin) -> np.ndarray:
     return np.where(lin > 0.0, lin * model.lb, np.where(lin < 0.0, lin * model.ub, 0.0))
 
 
-def _bound(model: ConvexQpModel, x, nu, mu, curvature: float) -> float:
+def _bound(model: ConvexQpModel, x, nu, mu, curvature: float, reduced: bool) -> float:
     """Safe lower bound on the model optimum from any point x (Neumaier and
     Shcherbina, Math. Prog. 2004).  With the rows dualized at (nu, mu clamped
     to >= 0) and the box kept primal, the Lagrangian L obeys
@@ -426,11 +428,11 @@ def _bound(model: ConvexQpModel, x, nu, mu, curvature: float) -> float:
 
     for every feasible x'; its minimum over the box, less BOUND_GUARD
     relative to the magnitude of its terms (the scale of its rounding error),
-    is returned.  `curvature` is lambda_min(Q), or lambda_min(Z'QZ) for a
-    reduced model, whose equality rows keep x' - x in the nullspace Z of A up
-    to the residual of A x - b; that residual's share of the quadratic is
-    subtracted too.  Q is left out when x is None, which only solve_lp
-    passes, for a model whose Q is absent or zero."""
+    is returned.  `curvature` is lambda_min(Q), or lambda_min(Z'QZ) when x
+    comes from the reduced path (`reduced`), whose equality rows keep x' - x
+    in the nullspace Z of A up to the residual of A x - b; that residual's
+    share of the quadratic is subtracted too.  Q is left out when x is None,
+    which only solve_lp passes, for a model whose Q is absent or zero."""
     mu = np.maximum(mu, 0.0)
     lin, base = _row_lagrangian(model, nu, mu)
     quad = reach = 0.0
@@ -440,7 +442,7 @@ def _bound(model: ConvexQpModel, x, nu, mu, curvature: float) -> float:
         quad = float(x @ Qx)
         far = np.maximum(model.ub - x, x - model.lb)
         reach = min(curvature, 0.0) * float(far @ far)
-        if model.nullspace_convex and model.A.shape[0]:
+        if reduced and model.A.shape[0]:
             # x' - x = Z w - v with v the row-space solution of A v = A x - b
             v, _, _, _ = np.linalg.lstsq(model.A, model.A @ x - model.b, rcond=None)
             reach -= float(np.linalg.norm(model.Q @ v)) * (
@@ -489,32 +491,36 @@ def _solution(model: ConvexQpModel, status, x, nu, y, iterations, curvature=0.0)
     is then nan), its bound +inf when `status` is infeasible, else _bound at
     x.  `y` stacks the multipliers of the rows [C; I] (the inequalities, then
     the box); `nu` holds the equality multipliers, or is None to fit them by
-    least squares on the stationarity residual."""
+    least squares on the stationarity residual, which only the reduced path
+    asks for: its x then certifies with curvature lambda_min(Z'QZ)."""
     p = model.C.shape[0]
     ybox = y[p:]
     mu, pi_l, pi_u = np.maximum(y[:p], 0.0), np.maximum(-ybox, 0.0), np.maximum(ybox, 0.0)
-    if nu is None:
+    reduced = nu is None
+    if reduced:
         grad = _lagrangian_grad(model, x, None, mu, pi_l, pi_u)
         nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
     objective = _objective(model, x) if x is not None else math.nan
-    bound = math.inf if status == STATUS_INFEASIBLE else _bound(model, x, nu, mu, curvature)
+    bound = (
+        math.inf if status == STATUS_INFEASIBLE
+        else _bound(model, x, nu, mu, curvature, reduced)
+    )
     return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound)
 
 
-def _solve_full(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
+def _solve_full(model: ConvexQpModel, tol, max_iter, deadline, curvature) -> QpSolution:
+    """Solve in the model's own coordinates; `curvature` is lambda_min(Q)."""
     n = model.nvar
     P = 2.0 * model.Q if model.Q is not None else np.zeros((n, n))
     A_s, lo, hi = _stack(model)
     raw = _admm(P, model.q, A_s, lo, hi, tol, max_iter, deadline)
     m = model.A.shape[0]
-    curvature = float(np.linalg.eigvalsh(model.Q)[0]) if model.Q is not None else 0.0
     return _solution(model, raw.status, raw.x, raw.y[:m], raw.y[m:], raw.iterations, curvature)
 
 
 def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
     """Solve in x = x0 + Z z coordinates for models convex only on the
     nullspace of their equality system."""
-    n = model.nvar
     A, b = model.A, model.b
     x0, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     if float(np.max(np.abs(A @ x0 - b), initial=0.0)) > 1e-8 * (
@@ -523,8 +529,7 @@ def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
         return _infeasible(model)
     Z = linalg.nullspace_basis(A)
     k = Z.shape[1]
-    Q = model.Q if model.Q is not None else np.zeros((n, n))
-    p = model.C.shape[0]
+    Q, n, p = model.Q, model.nvar, model.C.shape[0]
 
     if k == 0:
         # the equality system pins x completely
@@ -570,8 +575,11 @@ def solve_convex_qp(
     status.  An optimal solve also carries its verify_kkt report, `kkt`."""
     if _interval_presolve(model):
         return _infeasible(model)
-    reduced = model.nullspace_convex and model.A.shape[0] > 0
-    sol = (_solve_reduced if reduced else _solve_full)(model, tol, max_iter, deadline)
+    curvature = float(np.linalg.eigvalsh(model.Q)[0]) if model.Q is not None else 0.0
+    if curvature < -PSD_SLACK and model.A.shape[0]:
+        sol = _solve_reduced(model, tol, max_iter, deadline)
+    else:
+        sol = _solve_full(model, tol, max_iter, deadline, curvature)
     if sol.status == STATUS_OPTIMAL:
         sol.kkt = verify_kkt(model, sol)
     return sol
@@ -595,7 +603,7 @@ def _load_highs():
 def _highs():
     """The HiGHS extension, loaded on the first LP solve (reused when
     scipy.optimize has already imported it); the lock makes that first load
-    happen once when worker threads race for it."""
+    happen once when a caller's threads race for it."""
     global _highs_core
     with _highs_lock:
         if _highs_core is None:

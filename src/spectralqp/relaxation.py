@@ -20,14 +20,13 @@ alpha_z <= alpha_g <= alpha_e, so the matching bounds tighten in that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
 from .problem import ProblemInstance
 
-PSD_SLACK = 1e-8
 CONVEX_TOL = 1e-10
 ZERO_EIG_TOL = 1e-12
 
@@ -133,12 +132,9 @@ def compute_shift_eig(Qb, pair: linalg.EigenPair | None = None) -> SpectralShift
 
 def compute_shift_geig(Qb, Ab) -> SpectralShift:
     """alpha_g = max(0, -lambda_min(Q, I + A'A)), the tightest uniform shift
-    that stays convex after adding the squared equality residual."""
-    Qb = np.asarray(Qb, dtype=float)
-    Ab = np.asarray(Ab, dtype=float)
-    N = np.eye(Qb.shape[0]) + (Ab.T @ Ab if Ab.size else 0.0)
-    pair = linalg.gen_eig_min(Qb, N)
-    return SpectralShift(KIND_GEIG, max(0.0, -pair.value), pair.value, pair.vector)
+    that stays convex after adding the squared equality residual: the shift
+    at delta = 1."""
+    return replace(compute_shift_at_delta(Qb, Ab, 1.0), kind=KIND_GEIG)
 
 
 def compute_shift_eigz_exact(Qb, Ab) -> SpectralShift:
@@ -245,9 +241,7 @@ class ConvexQpModel:
 
     Q may be None for a linear program.  `x_dim` is the number of leading
     components of z that represent the node's free variables (lifted models
-    append auxiliary columns after them).  `nullspace_convex` marks models
-    whose Q is only positive semidefinite on the nullspace of A; these are
-    solved in reduced coordinates."""
+    append auxiliary columns after them)."""
 
     kind: str
     Q: np.ndarray | None
@@ -260,7 +254,6 @@ class ConvexQpModel:
     lb: np.ndarray
     ub: np.ndarray
     x_dim: int
-    nullspace_convex: bool = False
     mccormick: McCormickInfo | None = None
     separable: SeparableInfo | None = None
 
@@ -274,18 +267,13 @@ def build_spectral_relaxation(
     node: NodeRestriction,
     shift: SpectralShift,
     restricted: Restricted | None = None,
-    qb_min: float | None = None,
 ) -> ConvexQpModel:
     """Assemble the convex QP for a spectral shift.  The generalized (geig)
     kind keeps its equality-residual quadratic alpha*(x'A'Ax - 2 b'Ax + b'b);
     every other kind uses the plain diagonal form, where delta influences the
-    model only through alpha.
-
-    The model is flagged nullspace convex when its Q is indefinite: for an
-    eigz shift with equality rows when lambda_min(Qb) + alpha < -PSD_SLACK
-    (`qb_min` is lambda_min(Qb) when the caller already has it), and for a
-    zero shift on an indefinite Qb, which is only issued to nodes that are
-    convex on the equality nullspace."""
+    model only through alpha.  An eigz shift, or a zero shift on a node that
+    is convex only on its equality nullspace, can leave Q indefinite;
+    qpsolve reads that from Q itself."""
     R = restricted if restricted is not None else restrict(problem, node)
     nb = R.Qb.shape[0]
     a = shift.alpha
@@ -294,19 +282,10 @@ def build_spectral_relaxation(
         Qhat = R.Qb + a * (np.eye(nb) + R.Ab.T @ R.Ab)
         qhat = R.qb - a * (l + u) - 2.0 * a * (R.Ab.T @ R.bb)
         offset = a * (float(l @ u) + float(R.bb @ R.bb)) + R.const
-        ns_convex = False
     else:
         Qhat = R.Qb + a * np.eye(nb)
         qhat = R.qb - a * (l + u)
         offset = a * float(l @ u) + R.const
-        if shift.kind == KIND_NONE:
-            ns_convex = shift.lam < -CONVEX_TOL
-        elif shift.kind in (KIND_EIGZ, KIND_EIGZ_EXACT) and R.Ab.size:
-            if qb_min is None:
-                qb_min = linalg.sym_eig_min(R.Qb).value
-            ns_convex = qb_min + a < -PSD_SLACK
-        else:
-            ns_convex = False
     return ConvexQpModel(
         kind=shift.kind,
         Q=Qhat,
@@ -319,7 +298,6 @@ def build_spectral_relaxation(
         lb=l.copy(),
         ub=u.copy(),
         x_dim=nb,
-        nullspace_convex=ns_convex,
     )
 
 

@@ -258,7 +258,7 @@ def test_eig_model_worked_bound():
     assert np.allclose(model.Q, np.diag([2.0, 0.0]))
     assert np.allclose(model.q, np.zeros(2))
     assert model.offset == pytest.approx(-2.0)
-    assert not model.nullspace_convex
+    assert np.linalg.eigvalsh(model.Q)[0] >= -1e-12
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-7)
@@ -288,7 +288,9 @@ def test_eigz_model_worked_bound():
     )
     # zero shift keeps Q indefinite, so the model is only nullspace convex
     assert np.allclose(model.Q, prob.Q)
-    assert model.nullspace_convex
+    assert np.linalg.eigvalsh(model.Q)[0] < -qpsolve.PSD_SLACK
+    Z = linalg.nullspace_basis(model.A)
+    assert np.linalg.eigvalsh(Z.T @ model.Q @ Z)[0] >= -1e-12
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-7)
