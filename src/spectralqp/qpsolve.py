@@ -36,7 +36,9 @@ than the status.  Both engines set it by one formula, _bound: the rows
 dualized at the returned multipliers, the box kept primal, and the
 Lagrangian linearized at the returned point, so it holds for a truncated
 solve and a KKT-failed one alike; with Q absent it is the weak-duality value
-of the multipliers.
+of the multipliers.  The slope of that linearization comes back with it,
+`slope`, and tightened_box turns it into the box outside which no feasible
+point beats a given cutoff.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class QpSolution:
     iterations: int
     bound: float = -math.inf        # certified lower bound on the model optimum
     kkt: KktReport | None = None    # verify_kkt report of an optimal solve
+    slope: np.ndarray | None = None  # g of the bound's linearization; None unless bound is finite
 
 
 @dataclass(frozen=True)
@@ -419,20 +422,22 @@ def _box_min(model: ConvexQpModel, lin) -> np.ndarray:
     return np.where(lin > 0.0, lin * model.lb, np.where(lin < 0.0, lin * model.ub, 0.0))
 
 
-def _bound(model: ConvexQpModel, x, nu, mu, curvature: float, reduced: bool) -> float:
-    """Safe lower bound on the model optimum from any point x (Neumaier and
-    Shcherbina, Math. Prog. 2004).  With the rows dualized at (nu, mu clamped
-    to >= 0) and the box kept primal, the Lagrangian L obeys
+def _bound(model: ConvexQpModel, x, nu, mu, curvature: float, reduced: bool):
+    """(bound, g): a safe lower bound on the model optimum from any point x
+    (Neumaier and Shcherbina, Math. Prog. 2004), and its slope g.  With the
+    rows dualized at (nu, mu clamped to >= 0) and the box kept primal, the
+    Lagrangian L obeys
 
         L(x') >= L(x) + g'(x' - x) + min(curvature, 0) |x' - x|^2,  g = grad L(x),
 
     for every feasible x'; its minimum over the box, less BOUND_GUARD
     relative to the magnitude of its terms (the scale of its rounding error),
-    is returned.  `curvature` is lambda_min(Q), or lambda_min(Z'QZ) when x
-    comes from the reduced path (`reduced`), whose equality rows keep x' - x
-    in the nullspace Z of A up to the residual of A x - b; that residual's
-    share of the quadratic is subtracted too.  Q is left out when x is None,
-    which only solve_lp passes, for a model whose Q is absent or zero."""
+    is the bound, and g goes with it to tightened_box.  `curvature` is
+    lambda_min(Q), or lambda_min(Z'QZ) when x comes from the reduced path
+    (`reduced`), whose equality rows keep x' - x in the nullspace Z of A up
+    to the residual of A x - b; that residual's share of the quadratic is
+    subtracted too.  Q is left out when x is None, which only solve_lp
+    passes, for a model whose Q is absent or zero."""
     mu = np.maximum(mu, 0.0)
     lin, base = _row_lagrangian(model, nu, mu)
     quad = reach = 0.0
@@ -457,7 +462,8 @@ def _bound(model: ConvexQpModel, x, nu, mu, curvature: float, reduced: bool) -> 
         + abs(quad)
         + abs(reach)
     )
-    return base + float(np.sum(contrib)) - quad + reach - BOUND_GUARD * (1.0 + magnitude)
+    bound = base + float(np.sum(contrib)) - quad + reach - BOUND_GUARD * (1.0 + magnitude)
+    return bound, lin
 
 
 def _infeasible(model: ConvexQpModel) -> QpSolution:
@@ -489,7 +495,7 @@ def _lagrangian_grad(model: ConvexQpModel, x, nu, mu, pi_l, pi_u) -> np.ndarray:
 def _solution(model: ConvexQpModel, status, x, nu, y, iterations, curvature=0.0) -> QpSolution:
     """The solution at x (None when the solver has no point; the objective
     is then nan), its bound +inf when `status` is infeasible, else _bound at
-    x.  `y` stacks the multipliers of the rows [C; I] (the inequalities, then
+    x with its slope.  `y` stacks the multipliers of the rows [C; I] (the inequalities, then
     the box); `nu` holds the equality multipliers, or is None to fit them by
     least squares on the stationarity residual, which only the reduced path
     asks for: its x then certifies with curvature lambda_min(Z'QZ)."""
@@ -501,11 +507,12 @@ def _solution(model: ConvexQpModel, status, x, nu, y, iterations, curvature=0.0)
         grad = _lagrangian_grad(model, x, None, mu, pi_l, pi_u)
         nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
     objective = _objective(model, x) if x is not None else math.nan
-    bound = (
-        math.inf if status == STATUS_INFEASIBLE
-        else _bound(model, x, nu, mu, curvature, reduced)
-    )
-    return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound)
+    bound, slope = math.inf, None
+    if status != STATUS_INFEASIBLE:
+        bound, slope = _bound(model, x, nu, mu, curvature, reduced)
+        if not math.isfinite(bound):
+            slope = None
+    return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound, slope=slope)
 
 
 def _solve_full(model: ConvexQpModel, tol, max_iter, deadline, curvature) -> QpSolution:
@@ -688,8 +695,30 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
     if optimal:
         sol.kkt = verify_kkt(model, sol)
     if not has_duals or status == hc.HighsModelStatus.kInfeasible:
-        sol.bound = -math.inf       # no multipliers to certify with
+        sol.bound, sol.slope = -math.inf, None      # no multipliers to certify with
     return sol
+
+
+def tightened_box(sol: QpSolution, lb, ub, cutoff: float):
+    """The part (lb', ub') of the box lb <= x <= ub over the model's first
+    len(lb) variables that holds every feasible point whose objective is
+    below `cutoff`, from the certificate of `sol` (reduced-cost tightening,
+    Ryoo and Sahinidis, JOGO 1996).  With g = sol.slope, _bound gives
+
+        objective(x') >= bound + sum_i (g_i x'_i - min(g_i l_i, g_i u_i))
+
+    for every feasible x' in the model's box, each term of the sum being
+    nonnegative, so no term may exceed room = cutoff - bound (plus a
+    rounding margin relative to both): x'_i <= l_i + room/g_i where g_i > 0,
+    x'_i >= u_i + room/g_i where g_i < 0.  `sol.bound` must be finite."""
+    g = sol.slope[: len(lb)]
+    room = cutoff - sol.bound + 1e-9 * (1.0 + abs(cutoff) + abs(sol.bound))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = room / g
+    return (
+        np.where(g < 0.0, np.maximum(lb, ub + reach), lb),
+        np.where(g > 0.0, np.minimum(ub, lb + reach), ub),
+    )
 
 
 def verify_kkt(

@@ -521,6 +521,38 @@ def test_heuristic_runs_only_at_nodes_that_survive_the_bound_test(monkeypatch):
     assert 0 < len(calls) <= branched + res.stats["heuristic_hits"]
 
 
+# ------------------------------------------------------ reduced-cost tightening
+
+
+@pytest.mark.parametrize("mode", ("eig", "eigz"))
+def test_reduced_cost_tightening_fixes_binaries(mode):
+    prob = generate_random(GeneratorSpec(family="cbqp", n=12, k=3, seed=0))
+    res = solve(prob, SolverConfig(relaxation=mode))
+    assert res.status == "optimal"
+    assert res.stats["reduced_cost_fixings"] > 0
+    assert res.f_ubd == pytest.approx(enumerate_binary(prob).value, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode", ("eig", "eigz", "auto"))
+def test_no_tightening_without_an_incumbent(mode, monkeypatch):
+    # even coefficients and an odd right-hand side: the relaxations are
+    # feasible, no integer point is, so f_ubd stays +inf all run long
+    base = generate_random(GeneratorSpec(family="eiqp", n=4, m=1, seed=0, int_bound=3))
+    prob = validate(
+        base.n, base.Q, base.q, A=2.0 * base.A, b=2.0 * base.b + 1.0,
+        lb=base.lb, ub=base.ub, integers=base.integers,
+    )
+
+    def refuse(*args):
+        raise AssertionError("tightened without an incumbent")
+
+    monkeypatch.setattr(qpsolve, "tightened_box", refuse)
+    res = solve(prob, SolverConfig(relaxation=mode))
+    assert res.status == "infeasible"
+    assert res.nodes > 1
+    assert res.stats["reduced_cost_fixings"] == 0
+
+
 # ------------------------------------------------------------- relative gap
 
 

@@ -60,6 +60,7 @@ def test_solve_reports_optimum(tmp_path, capsys):
     assert report["nodes"] >= 1
     assert report["stats"]["qp_iterations"] > 0
     assert report["stats"]["lp_iterations"] >= 0
+    assert report["stats"]["reduced_cost_fixings"] >= 0
 
 
 def test_solve_missing_file_exits_1(capsys):

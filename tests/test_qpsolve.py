@@ -689,6 +689,66 @@ def test_bound_never_exceeds_the_model_optimum(family, n, seed):
             assert sol.bound <= best, (model.kind, sol.iterations)
 
 
+def _candidate_points(prob, seed):
+    """Every feasible point of a small integer instance, by enumeration; for
+    a boxqp its box vertices and 200 random box points."""
+    if prob.integers:
+        grids = [np.arange(prob.lb[i], prob.ub[i] + 1.0) for i in range(prob.n)]
+        X = np.array(list(itertools.product(*grids)), dtype=float)
+        ok = np.ones(len(X), dtype=bool)
+        if prob.m:
+            ok &= np.max(np.abs(X @ prob.A.T - prob.b), axis=1) <= 1e-9
+        return X[ok]
+    rng = np.random.default_rng(seed)
+    vertices = np.array(list(itertools.product(*zip(prob.lb, prob.ub))), dtype=float)
+    return np.vstack([vertices, rng.uniform(prob.lb, prob.ub, size=(200, prob.n))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["cbqp", "boxqp", "eiqp"]),
+    st.integers(2, 6),
+    st.integers(0, 10_000),
+)
+@example("eiqp", 4, 0)     # its eigz root QP takes the reduced path
+def test_slope_certifies_every_better_point(family, n, seed):
+    # objective(x') >= bound + sum_i (g_i x'_i - min(g_i l_i, g_i u_i)) at
+    # every feasible x', for root QPs (eigz ones mostly on the reduced path),
+    # truncated or not, and McCormick LPs; tightened_box keeps every point
+    # whose objective is below the cutoff
+    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+
+    kw = (
+        {"k": max(1, n // 3)} if family == "cbqp"
+        else {"m": 1, "int_bound": 3} if family == "eiqp" else {}
+    )
+    prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
+    X = _candidate_points(prob, seed)
+    if not len(X):
+        return
+    f = np.einsum("ij,jk,ik->i", X, prob.Q, X) + X @ prob.q
+    cutoff = float(np.median(f))
+    sols = [
+        qpsolve.solve_convex_qp(_root_qp(family, n, seed, mode, **kw), max_iter=max_iter)
+        for mode in ("eig", "geig", "eigz")
+        for max_iter in (10, 50, qpsolve.DEFAULT_MAX_ITER)
+    ]
+    sols.append(qpsolve.solve_lp(build_mccormick_relaxation(prob, root_restriction(prob))))
+    for sol in sols:
+        assert sol.status != qpsolve.STATUS_INFEASIBLE
+        assert (sol.slope is not None) == math.isfinite(sol.bound)
+        if sol.slope is None:
+            continue
+        g = sol.slope[:n]
+        terms = X * g - np.minimum(g * prob.lb, g * prob.ub)
+        lifted = sol.bound + terms.sum(axis=1)
+        tol = 1e-9 * (1.0 + np.abs(f) + abs(sol.bound) + np.abs(terms).sum(axis=1))
+        assert np.all(f >= lifted - tol), (sol.iterations, float(np.max(lifted - f)))
+        lo, hi = qpsolve.tightened_box(sol, prob.lb, prob.ub, cutoff)
+        better = X[f < cutoff]
+        assert np.all((better >= lo) & (better <= hi))
+
+
 def test_past_deadline_stops_at_first_check():
     rng = np.random.default_rng(43)
     n = 6
