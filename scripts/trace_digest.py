@@ -9,15 +9,14 @@ Three CSV tables:
   with `repr` of `cli.root_relaxation_bound`;
 * `instance,root_method,max_iter,bound`: one row per (instance, spectral
   mode) with `repr` of the bound of its root QP cut off after `max_iter`
-  ADMM iterations, the truncated-solve path that the solves above rarely
-  reach.
+  active-set iterations (most root QPs converge within that many, so
+  these rows mostly repeat the converged bound).
 
 The instances are the criterion-1 CBQP grid (one per (n, density) cell), a
 few BoxQP and integer-with-equality (eiqp) instances, and one CBQP whose
 cardinality row is written as two inequality rows, since no generated family
-has any.  Between them the solves reach QP polish successes, QP polish
-attempts skipped because the active set repeats, and McCormick LPs (HiGHS)
-in the auto and mccormick modes.  Two revisions compute the same traces and
+has any: its QPs are the ones whose active-set phase 1 is a HiGHS LP.  The
+auto and mccormick modes also reach McCormick LPs (HiGHS).  Two revisions compute the same traces and
 bounds exactly when their outputs are identical:
 
     python3 scripts/trace_digest.py > new.csv && diff old.csv new.csv
@@ -50,7 +49,8 @@ SPECS = [
 SPECS += [GeneratorSpec(family="boxqp", n=n, seed=s) for s, n in enumerate((4, 5, 6))]
 SPECS += [GeneratorSpec(family="eiqp", n=n, m=1, seed=s) for s, n in enumerate((4, 5, 6))]
 # the one instance whose McCormick LPs ended in a successful ADMM polish when
-# LPs still ran on ADMM; kept so digests of older revisions stay comparable
+# LPs still ran on ADMM (the QP engine before the active-set method); kept so
+# digests of older revisions stay comparable
 SPECS.append(GeneratorSpec(family="eiqp", n=4, m=1, seed=303))
 
 TRUNCATED_MAX_ITER = 50
@@ -74,8 +74,8 @@ def instances():
 
 
 def truncated_root_bound(problem, mode: str) -> float:
-    """The bound of the root QP of a spectral mode after TRUNCATED_MAX_ITER
-    ADMM iterations."""
+    """The bound of the root QP of a spectral mode after at most
+    TRUNCATED_MAX_ITER active-set iterations."""
     node = root_restriction(problem)
     R = restrict(problem, node)
     shift = shift_for_mode(mode, R.Qb, R.Ab)

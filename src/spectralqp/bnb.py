@@ -16,12 +16,13 @@ omega nodes passed since it last ran, whichever bound proves stronger at a
 node where both ran gets its interval shrunk and the other grown
 (dynamic_selection_update).  A node's bound is the certified `bound` of its
 relaxation solve (qpsolve owns the certificate, finite for every solve that
-does not prove the node empty): spectral QPs are solved by ADMM, McCormick
-LPs exactly by HiGHS dual simplex.  A node whose solve certifies nothing
-(a NaN bound, or no LP past the deadline) keeps its parent bound.
-Relaxation solves stop at the time limit too (the LP through HiGHS's own
-time limit), returning whatever bound they have certified by then, and no
-LP starts past it.
+does not prove the node empty): spectral QPs are solved by the active-set
+method of qpsolve, McCormick LPs exactly by HiGHS dual simplex.  A node
+whose solve certifies nothing (a NaN bound, or no LP past the deadline)
+keeps its parent bound.  Relaxation solves stop at the time limit too (the
+QP at its next active-set iteration, the LP through HiGHS's own time
+limit), returning whatever bound they have certified by then, and no LP
+starts past it.
 
 Once an incumbent exists, a branched node's children inherit the box that
 reduced-cost tightening proves (Ryoo and Sahinidis, JOGO 1996): from the
@@ -184,12 +185,14 @@ def upper_bound_heuristic(
     node: NodeRestriction,
     x_free,
     f_ubd: float,
+    pg_step: float,
 ):
     """Cheap incumbent candidates from a relaxation point: top-k rounding for
     cardinality-constrained binaries, threshold rounding otherwise, nearest
-    rounding for general integers, and <= 100 projected-gradient steps on the
-    box for purely continuous problems.  Returns (value, x) for the best
-    feasible improving candidate, else None."""
+    rounding for general integers, and <= 100 projected-gradient steps of
+    length `pg_step` (1/(2 ||Q||_2), the inverse Lipschitz constant of the
+    gradient) on the box for purely continuous problems.  Returns (value, x)
+    for the best feasible improving candidate, else None."""
     x0 = _assemble_full(problem, node, x_free)
     candidates = []
     if problem.integers:
@@ -214,12 +217,10 @@ def upper_bound_heuristic(
         candidates.append(xr)
     elif problem.m == 0 and problem.p == 0:
         xg = np.clip(x0, problem.lb, problem.ub)
-        lip = 2.0 * float(np.linalg.norm(problem.Q, ord="fro")) + 1e-12
-        step = 1.0 / lip
         for _ in range(PG_STEPS):
             grad = 2.0 * (problem.Q @ xg) + problem.q
-            nxt = np.clip(xg - step * grad, problem.lb, problem.ub)
-            if float(np.max(np.abs(nxt - xg))) <= 1e-12:
+            nxt = np.minimum(np.maximum(xg - pg_step * grad, problem.lb), problem.ub)
+            if float(np.abs(nxt - xg).max()) <= 1e-12:
                 break
             xg = nxt
         candidates.append(xg)
@@ -246,6 +247,8 @@ class _Engine:
         self.root_delta: float | None = None
         self.delta_trace: list = []
         self.certified: list = []     # the current node's solves with a finite bound
+        # step of the heuristic's projected gradient: 1 / Lipschitz constant
+        self.pg_step = 1.0 / (2.0 * float(np.linalg.norm(problem.Q, ord=2)) + 1e-12)
         self.stats = {
             "qp_solves": 0,
             "lp_solves": 0,
@@ -592,7 +595,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         # no heuristic at a fathomed node: no point in it beats its bound,
         # so an incumbent found there would gain less than the tolerances
         if x_rel is not None:
-            cand = upper_bound_heuristic(problem, node, x_rel, f_ubd)
+            cand = upper_bound_heuristic(problem, node, x_rel, f_ubd, eng.pg_step)
             if cand is not None:
                 try_incumbent(*cand)
                 eng.stats["heuristic_hits"] += 1

@@ -6,31 +6,34 @@ compiled extension is loaded from scipy on the first LP solve without
 importing scipy.optimize.  A claimed infeasibility counts only once its
 dual ray passes the Farkas test.
 
-Quadratic models go to solve_convex_qp, an operator-splitting (ADMM)
-iteration on
+Quadratic models go to solve_convex_qp, a primal active-set method in
+bounded-variable form (Nocedal and Wright, Numerical Optimization, 2006,
+Alg. 16.3) on
 
-    min 1/2 x'Px + c'x   s.t.  lo <= A_s x <= hi
+    min 1/2 x'Px + c'x   s.t.  A x = b,  C x <= d,  lb <= x <= ub.
 
-with all model constraints (equalities, inequalities, box) stacked into A_s.
-Equality rows carry a boosted penalty, data is equilibrated in one pass, and
-the step size adapts to the primal/dual residual ratio.  Each iteration is
-one affine map of the state [x; z + y/rho; z] followed by a clip onto the
-row bounds; the map is built from the Cholesky factor of the x-update
-matrix, again whenever the step size changes.  Near convergence the iterate
-is polished by solving the KKT system of the active constraints, which
-typically lands the solution at machine precision; a polish reruns only when
-the active set (the dual signs) has changed since the last failed one.
-Termination tests the unscaled residuals against tol * (1 + data scale).
+Its working set holds the equality rows, the variables at a bound and the
+active C rows; each iteration solves the KKT system of the free variables
+and the working rows, steps to the minimizer along it or to the first
+blocking constraint, and at a stationary point drops the constraint with
+the most negative multiplier.  Phase 1 is an exact breakpoint projection
+onto {a'x = b} within the box for a model with at most one equality row and
+no C rows (the node QPs of every generated family, so that eig and eigz
+solves stay clear of HiGHS), and a HiGHS feasibility LP through solve_lp
+otherwise.  Infeasibility is certified only by _interval_presolve or by
+that LP's Farkas ray.  A model whose Q is absent or zero goes to solve_lp.
 
 A model with equality rows whose Q is indefinite, lambda_min(Q) < -PSD_SLACK
 (curvature nonnegative only on the equality manifold, as an eigz shift can
-leave it), is solved in reduced coordinates x = x0 + Z z, where x0 is a least
-squares particular solution and Z an orthonormal nullspace basis; equality
-multipliers are then recovered by least squares on the stationarity residual.
+leave it), needs no other coordinates: every working-set face lies in the
+rows' nullspace, where Q is PSD.  Only its certificate differs: _bound uses
+the curvature lambda_min(Z'QZ) over an orthonormal nullspace basis Z, and
+the equality multipliers are refit by least squares on the stationarity
+residual.
 
 A solution holds the status, x, objective, multipliers and iteration count
-(ADMM or simplex iterations), its one certified lower bound on the model
-optimum, `bound`, and for an optimal solve the scaled residuals of
+(active-set or simplex iterations), its one certified lower bound on the
+model optimum, `bound`, and for an optimal solve the scaled residuals of
 verify_kkt, `kkt`, its only residual record.  Callers read `bound` rather
 than the status.  Both engines set it by one formula, _bound: the rows
 dualized at the returned multipliers, the box kept primal, and the
@@ -50,7 +53,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -63,16 +66,12 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_MAXITER = "max_iter"
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 50_000
+DEFAULT_MAX_ITER = 1_000    # active-set iterations; node QPs take a few dozen at most
 DEFAULT_KKT_TOL = 1e-6
 BOUND_GUARD = 1e-9     # relative rounding guard of _bound
-PSD_SLACK = 1e-8       # lambda_min(Q) below -PSD_SLACK: solve in reduced coordinates
+PSD_SLACK = 1e-8       # lambda_min(Q) below -PSD_SLACK: certify on the rows' nullspace
 
-_SIGMA = 1e-6          # proximal regularization
-_ALPHA = 1.6           # over-relaxation
-_RHO0 = 0.1            # base penalty
-_RHO_EQ_BOOST = 1e3    # extra penalty on equality rows
-_CHECK_EVERY = 25      # iterations between convergence checks
+_REG = 1e-12           # diagonal on P inside the KKT solves, relative to max |P|
 _EPS_PINF = 1e-7       # infeasibility certificate threshold (relative)
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -130,14 +129,6 @@ def _interval_presolve(model: ConvexQpModel) -> bool:
     return False
 
 
-@dataclass(eq=False)
-class _Raw:
-    status: str
-    x: np.ndarray
-    y: np.ndarray
-    iterations: int
-
-
 def _farkas(A, lo, hi, y) -> bool:
     """True when y certifies {x : lo <= A x <= hi} empty: A'y vanishes while
     the support of y over [lo, hi] is negative (both relative to max |y|)."""
@@ -159,240 +150,201 @@ def _farkas(A, lo, hi, y) -> bool:
     return support < -_EPS_PINF * (1.0 + abs(support))
 
 
-def _polish(P, c, A, lo, hi, y):
-    """Direct KKT solve on the constraints the duals mark active.  Returns
-    (x, y) or None when the linear solve fails outright."""
-    m, n = A.shape
-    eq = np.isfinite(lo) & np.isfinite(hi) & (lo == hi)
-    low = (y < 0.0) & np.isfinite(lo) & ~eq
-    upp = (y > 0.0) & np.isfinite(hi) & ~eq
-    act = np.where(eq | low | upp)[0]
-    bnd = np.where(eq[act] | low[act], lo[act], hi[act])
-    Aa = A[act]
-    k = act.size
-    K = np.zeros((n + k, n + k))
-    K[:n, :n] = P + 1e-9 * np.eye(n)
-    K[:n, n:] = Aa.T
-    K[n:, :n] = Aa
-    K[n:, n:] = -1e-9 * np.eye(k)
-    rhs = np.concatenate([-c, bnd])
-    try:
-        sol = np.linalg.solve(K, rhs)
-        # one step of iterative refinement against the unregularized system
-        K0 = K.copy()
-        K0[:n, :n] -= 1e-9 * np.eye(n)
-        K0[n:, n:] += 1e-9 * np.eye(k)
-        sol = sol + np.linalg.solve(K, rhs - K0 @ sol)
-    except np.linalg.LinAlgError:
+def _kkt_solve(K, rhs):
+    """The solution of K s = rhs, by least squares where K is singular: the
+    working set is kept independent, so only rounding can make it so."""
+    if not rhs.size:
+        return rhs
+    s, info = scipy.linalg.lapack.dgesv(K, rhs)[2:]
+    return s if info == 0 else np.linalg.lstsq(K, rhs, rcond=None)[0]
+
+
+def _independent_rows(A) -> np.ndarray:
+    """Ascending indices of a largest linearly independent set of A's rows,
+    by QR with column pivoting of A' (rank to 1e-10 relative)."""
+    if A.shape[0] <= 1:
+        return np.flatnonzero(np.any(A != 0.0, axis=1))
+    R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > 1e-10 * diag.max(initial=0.0))) if diag.size else 0
+    return np.sort(piv[:rank])
+
+
+def _projection_start(model: ConvexQpModel, P, c):
+    """Phase 1 for a model with at most one equality row and no C rows: the
+    box point minimizing each separable term 1/2 P_ii x_i^2 + c_i x_i,
+    projected onto {a'x = b} by a breakpoint search along x - t a, the
+    clipped path whose a'x falls piecewise linearly in t, with the residual
+    of the interpolated point moved onto the free variable of largest |a_i|."""
+    lb, ub = model.lb, model.ub
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.minimum(np.maximum(-c / np.maximum(np.diag(P), 1e-300), lb), ub)
+    if not model.A.shape[0]:
+        return x
+    a, b = model.A[0], float(model.b[0])
+    nz = a != 0.0
+    ts = np.sort(np.concatenate([(x - lb)[nz] / a[nz], (x - ub)[nz] / a[nz], [0.0]]))
+    X = np.minimum(np.maximum(x - ts[:, None] * a, lb), ub)
+    phi = X @ a
+    k = int(np.searchsorted(-phi, -b))      # first breakpoint with a'x <= b
+    if k == 0 or k == ts.size:
+        x = X[min(k, ts.size - 1)]          # b at (or, within the presolve slack, past) an end
+    else:
+        t = ts[k - 1] + (phi[k - 1] - b) / (phi[k - 1] - phi[k]) * (ts[k] - ts[k - 1])
+        x = np.clip(x - t * a, lb, ub)
+    inside = nz & (x > lb) & (x < ub)
+    if np.any(inside):
+        j = int(np.argmax(np.where(inside, np.abs(a), 0.0)))
+        x[j] = min(max(x[j] + (b - float(a @ x)) / a[j], lb[j]), ub[j])
+    return x
+
+
+def _start(model: ConvexQpModel, P, c, deadline):
+    """(x, at, feasible): the start of the active-set iteration.  `at` marks
+    the variables that start in the working set (-1 at the lower bound, +1 at
+    the upper; a pinned variable, lb == ub, stays there), and `feasible` is
+    False when phase 1 stopped at the deadline, its x then being only a box
+    point.  None when phase 1 certified the model empty.  Models with at most
+    one equality row and no C rows start at _projection_start, every
+    variable it leaves on a bound in the working set unless that empties the
+    row's free part; the others at a HiGHS vertex of their rows and box
+    (solve_lp on a zero objective, whose infeasibility needs a Farkas ray),
+    with only the pinned variables in the working set."""
+    lb, ub = model.lb, model.ub
+    pinned = lb == ub
+    if model.A.shape[0] <= 1 and not model.C.shape[0]:
+        x = _projection_start(model, P, c)
+        at = np.where(x <= lb, -1, np.where(x >= ub, 1, 0))
+        if model.A.shape[0]:
+            a = np.abs(model.A[0])
+            if not np.any(a[at == 0]) and np.any(a[~pinned]):
+                at[int(np.argmax(np.where(pinned, 0.0, a)))] = 0
+        return x, at, True
+    phase1 = solve_lp(replace(model, Q=None, q=np.zeros(model.nvar)), deadline)
+    if phase1.status == STATUS_INFEASIBLE:
         return None
-    xp = sol[:n]
-    yp = np.zeros(m)
-    yp[act] = sol[n:]
-    # clamp multipliers to their cone
-    yp[low & np.isfinite(lo)] = np.minimum(yp[low & np.isfinite(lo)], 0.0)
-    yp[upp] = np.maximum(yp[upp], 0.0)
-    return xp, yp
+    at = np.where(pinned, -1, 0)
+    if phase1.status != STATUS_OPTIMAL:
+        x = phase1.x if phase1.x is not None else np.clip(np.zeros(model.nvar), lb, ub)
+        return x, at, False
+    return phase1.x, at, True
 
 
-def _admm(P, c, A, lo, hi, tol, max_iter, deadline):
-    """Operator-splitting core; all arrays dense, dimensions desk scale.  Past
-    `deadline` (a time.monotonic() value) the run returns its best iterate."""
-    m, n = A.shape
-
-    # one-pass equilibration
-    colmax = np.maximum(
-        np.max(np.abs(P), axis=0, initial=0.0),
-        np.max(np.abs(A), axis=0, initial=0.0) if m else 0.0,
-    )
-    D = 1.0 / np.sqrt(np.clip(colmax, 1e-8, 1e8))
-    D[colmax == 0.0] = 1.0
-    AD = A * D[None, :] if m else A
-    rowmax = np.max(np.abs(AD), axis=1, initial=0.0) if m else np.zeros(0)
-    E = 1.0 / np.sqrt(np.clip(rowmax, 1e-8, 1e8))
-    if m:
-        E[rowmax == 0.0] = 1.0
-    Ps = (P * D[None, :]) * D[:, None]
-    cs = c * D
-    cost = 1.0 / max(
-        1.0,
-        float(np.mean(np.max(np.abs(Ps), axis=0, initial=0.0))),
-        float(np.max(np.abs(cs), initial=0.0)),
-    )
-    Ps *= cost
-    cs *= cost
-    As = AD * E[:, None] if m else AD
-    los = lo * E
-    his = hi * E
-
-    eq_row = np.isfinite(lo) & np.isfinite(hi) & (lo == hi)
-    rho = np.full(m, _RHO0)
-    rho[eq_row] *= _RHO_EQ_BOOST
-
-    def factor(rho_vec):
-        M = Ps + _SIGMA * np.eye(n)
-        if m:
-            M = M + (As.T * rho_vec[None, :]) @ As
-        # scaling can push a marginally PSD block a hair negative; a larger
-        # proximal term keeps the splitting valid
-        for jitter in (0.0, 1e-10, 1e-7, 1e-4, 1e-1):
-            try:
-                return scipy.linalg.cho_factor(
-                    M + jitter * np.eye(n), lower=True, check_finite=False
-                )[0]
-            except np.linalg.LinAlgError:
+def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
+    """Primal active-set iteration (Nocedal and Wright, Numerical
+    Optimization, 2006, Alg. 16.3, in bounded-variable form) on
+    min 1/2 x'Px + c'x over the model's rows and box from the feasible point
+    x.  The working set holds the equality rows, the variables marked in
+    `at` and the C rows flagged in `on`.  Every iteration solves the KKT
+    system of the free variables and the working rows, with P + reg I in
+    place of P so that a face where P is singular, or PSD only on the rows'
+    nullspace, still yields a descent step, and moves along that step to its
+    exact minimizer or to the first blocking constraint, which joins the
+    working set (the smallest index on ties).  Where nothing blocks, the new
+    point is stationary on its face once its reduced gradient is below tol
+    relative to |Px| and |c|: the working constraint with the most negative
+    multiplier then leaves (the smallest index on ties), or, when none is
+    below -tol, x is optimal.  Each KKT solve counts as one iteration; past
+    `deadline` the run stops before its next solve.  Returns (status, x, nu,
+    y, iterations), y stacking the multipliers of [C; box] as _solution
+    reads them."""
+    n, m, p = model.nvar, model.A.shape[0], model.C.shape[0]
+    lb, ub, C, d = model.lb, model.ub, model.C, model.d
+    rows = np.vstack([model.A, C])
+    pinned = lb == ub
+    x, at = x.copy(), at.copy()
+    on = np.zeros(p, dtype=bool)
+    lam = np.zeros(m + p)
+    Preg = P + _REG * (1.0 + float(np.abs(P).max())) * np.eye(n)
+    cmax = float(np.abs(c).max())
+    xmax = 1.0 + float(np.maximum(np.abs(lb), np.abs(ub)).max())
+    # the equality rows of the working set: dependent ones (over the
+    # variables not pinned) are left out, their multipliers kept at zero
+    eq = _independent_rows(model.A[:, ~pinned])
+    work = eq
+    status, it = STATUS_MAXITER, 0
+    g = P @ x + c
+    while it < max_iter and (deadline is None or time.monotonic() <= deadline):
+        it += 1
+        free = (at == 0).nonzero()[0]
+        if p:
+            work = np.concatenate([eq, m + on.nonzero()[0]])
+        k, r = free.size, work.size
+        K = np.zeros((k + r, k + r))
+        K[:k, :k] = Preg.take(free, 0).take(free, 1)
+        rhs = np.zeros(k + r)
+        rhs[:k] = -g.take(free)
+        if r:
+            E = rows.take(work, 0).take(free, 1)
+            K[:k, k:] = E.T
+            K[k:, :k] = E
+        s = _kkt_solve(K, rhs)
+        lam[:] = 0.0
+        lam[work] = s[k:]
+        sF = s[:k]
+        size = float(np.abs(sF).max(initial=0.0))
+        # a step is null where the face is a point, or where it is rounding
+        # error, whose direction means nothing
+        if k > r and size > 1e-13 * xmax:
+            if r == 1:
+                # back onto the rows' nullspace, which the solve leaves by rounding
+                e = E[0]
+                sF = sF - e * (float(e @ sF) / max(float(e @ e), 1e-300))
+            elif r:
+                sF = sF - E.T @ _kkt_solve(E @ E.T, E @ sF)
+            Ps = P.take(free, 1) @ sF           # P times the step
+            slope, curv = float(g.take(free) @ sF), float(sF @ Ps.take(free))
+            if slope > 0.0:
+                sF, Ps, slope = -sF, -Ps, -slope
+            # the exact minimizer along the step, unbounded where the face has
+            # no positive curvature along it, cut by the first blocking constraint
+            reach = -slope / curv if curv > 0.0 else math.inf
+            tiny = 1e-12 * size
+            xF, lF, uF = x.take(free), lb.take(free), ub.take(free)
+            ratio = np.divide(
+                np.where(sF < 0.0, lF - xF, uF - xF), sF,
+                out=np.full(k, math.inf), where=np.abs(sF) > tiny,
+            )
+            if p:
+                Cs = C.take(free, 1) @ sF
+                ratio = np.concatenate([ratio, np.divide(
+                    np.maximum(d - C @ x, 0.0), Cs,
+                    out=np.full(p, math.inf), where=~on & (Cs > tiny),
+                )])
+            j = int(np.argmin(ratio))
+            alpha = max(float(ratio[j]), 0.0)
+            if alpha <= reach and math.isfinite(alpha):
+                x[free] = np.minimum(np.maximum(xF + alpha * sF, lF), uF)
+                g += alpha * Ps
+                if j < k:
+                    i = free[j]
+                    at[i] = 1 if sF[j] > 0.0 else -1
+                    x[i] = ub[i] if sF[j] > 0.0 else lb[i]
+                else:
+                    on[j - k] = True
                 continue
-        raise np.linalg.LinAlgError("x-update matrix is not positive definite")
-
-    def step_map(rho_vec):
-        """One iteration as an affine map: (T, t) with X[:n+m] <- T X + t,
-        then z <- clip(s), over the state X = [x; s; z] with s = z + y/rho,
-        so y = rho (s - z).  With xh = K^-1 (sigma x - cs + A'R(2z - s)),
-        K = Ps + sigma I + A'RA and R = diag(rho), the step is
-        x <- alpha xh + (1 - alpha) x and s <- alpha A xh + (1 - alpha) z +
-        s - z.  K^-1 A'R and K^-1 cs come from triangular solves with the
-        factor on those columns: a product with an explicit inverse loses
-        the accuracy that the boosted equality penalty needs."""
-        chol = factor(rho_vec)
-        cols = scipy.linalg.cho_solve(
-            (chol, True), np.hstack([np.eye(n), As.T * rho_vec, cs[:, None]]),
-            check_finite=False,
-        )
-        L, G, Lc = cols[:, :n], cols[:, n:n + m], cols[:, n + m]
-        H = As @ G
-        T = np.empty((n + m, n + 2 * m))
-        T[:n, :n] = (1.0 - _ALPHA) * np.eye(n) + _ALPHA * _SIGMA * L
-        T[:n, n:n + m] = -_ALPHA * G
-        T[:n, n + m:] = 2.0 * _ALPHA * G
-        T[n:, :n] = _ALPHA * _SIGMA * (As @ L)
-        T[n:, n:n + m] = np.eye(m) - _ALPHA * H
-        T[n:, n + m:] = 2.0 * _ALPHA * H - _ALPHA * np.eye(m)
-        t = -_ALPHA * np.concatenate([Lc, As @ Lc])
-        return T, t
-
-    T, t = step_map(rho)
-    X = np.zeros(n + 2 * m)
-    x, s, z = X[:n], X[n:n + m], X[n + m:]
-    head = X[: n + m]
-    buf = np.empty(n + m)
-    z[:] = s[:] = np.clip(np.zeros(m), los, his)
-    y_mark = np.zeros(m)
-
-    def unscaled(xs, ys, zs):
-        xu = D * xs
-        yu = (E * ys) / cost
-        zu = zs / E if m else zs
-        return xu, yu, zu
-
-    def residuals(xu, yu, zu):
-        Ax = A @ xu if m else np.zeros(0)
-        rp = float(np.max(np.abs(Ax - zu), initial=0.0))
-        sp = max(
-            float(np.max(np.abs(Ax), initial=0.0)),
-            float(np.max(np.abs(zu), initial=0.0)),
-        )
-        grad = P @ xu + c + (A.T @ yu if m else 0.0)
-        rd = float(np.max(np.abs(grad), initial=0.0))
-        sd = max(
-            float(np.max(np.abs(P @ xu), initial=0.0)),
-            float(np.max(np.abs(A.T @ yu), initial=0.0)) if m else 0.0,
-            float(np.max(np.abs(c), initial=0.0)),
-        )
-        return rp, sp, rd, sd
-
-    failed_signs = None
-
-    def polished(yu, it):
-        """The optimal result of polishing on the duals yu, or None when the
-        polished point misses the tolerance.  _polish reads yu only through
-        its signs, so a sign pattern that failed before fails again and is
-        not re-solved."""
-        nonlocal failed_signs
-        if not m:
-            return None
-        signs = np.sign(yu).tobytes()
-        if signs == failed_signs:
-            return None
-        pol = _polish(P, c, A, lo, hi, yu)
-        if pol is not None:
-            xp, yp = pol
-            rpp, spp, rdp, sdp = residuals(xp, yp, np.clip(A @ xp, lo, hi))
-            if rpp <= tol * (1.0 + spp) and rdp <= tol * (1.0 + sdp):
-                return _Raw(STATUS_OPTIMAL, xp, yp, it)
-        failed_signs = signs
-        return None
-
-    best = None
-    it = 0
-    while it < max_iter:
-        inner = min(_CHECK_EVERY, max_iter - it)
-        for _ in range(inner):
-            np.dot(T, X, out=buf)
-            np.add(buf, t, out=head)
-            np.maximum(s, los, out=z)
-            np.minimum(z, his, out=z)
-        it += inner
-
-        y = rho * (s - z)
-        xu, yu, zu = unscaled(x, y, z)
-        rp, sp, rd, sd = residuals(xu, yu, zu)
-        tol_p = tol * (1.0 + sp)
-        tol_d = tol * (1.0 + sd)
-        if best is None or max(rp / tol_p, rd / tol_d) < best[0]:
-            best = (max(rp / tol_p, rd / tol_d), xu.copy(), yu.copy())
-
-        near = rp <= 1e4 * tol_p and rd <= 1e4 * tol_d
-        if (rp <= tol_p and rd <= tol_d) or near:
-            pol = polished(yu, it)
-            if pol is not None:
-                return pol
-            if rp <= tol_p and rd <= tol_d:
-                return _Raw(STATUS_OPTIMAL, xu, yu, it)
-
-        # primal infeasibility certificate from the dual increment
-        if m:
-            if _farkas(A, lo, hi, yu - y_mark):
-                return _Raw(STATUS_INFEASIBLE, xu, yu, it)
-            y_mark = yu.copy()
-
-        if deadline is not None and time.monotonic() > deadline:
+            if math.isfinite(reach):
+                x[free] = np.minimum(np.maximum(xF + reach * sF, lF), uF)
+                g += reach * Ps
+        # nothing blocks: test the new point for stationarity on its face
+        z = g + rows.T @ lam
+        gap = tol * (1.0 + max(float(np.abs(g - c).max()), cmax))
+        if float(np.abs(z.take(free)).max(initial=0.0)) > gap:
+            continue
+        mult = np.where((at == 0) | pinned, math.inf, np.where(at > 0, -z, z))
+        if p:
+            mult = np.concatenate([mult, np.where(on, lam[m:], math.inf)])
+        j = int(np.argmin(mult))
+        if mult[j] >= -gap:
+            status = STATUS_OPTIMAL
             break
-
-        # adapt the penalty to the residual balance
-        if m:
-            ratio = (rp / (1.0 + sp)) / max(rd / (1.0 + sd), 1e-16)
-            scale_fac = math.sqrt(max(ratio, 1e-12))
-            if scale_fac > 5.0 or scale_fac < 0.2:
-                rho = np.clip(rho * scale_fac, 1e-6, 1e6)
-                s[:] = z + y / rho      # the same duals at the new step size
-                T, t = step_map(rho)
-
-    if best is None:
-        xu, yu, _ = unscaled(x, rho * (s - z), z)
-        best = (math.inf, xu, yu)
-    # out of iterations: last chance polish, then best iterate; out of time:
-    # best iterate only, as the polish is one dense KKT solve
-    pol = polished(best[2], it) if it >= max_iter else None
-    if pol is not None:
-        return pol
-    return _Raw(STATUS_MAXITER, best[1], best[2], it)
-
-
-def _stack(model: ConvexQpModel):
-    """Stacked constraint system [A; C; I] with two-sided bounds."""
-    n = model.nvar
-    mats, lons, hins = [], [], []
-    if model.A.shape[0]:
-        mats.append(model.A)
-        lons.append(model.b)
-        hins.append(model.b)
-    if model.C.shape[0]:
-        mats.append(model.C)
-        lons.append(np.full(model.C.shape[0], -math.inf))
-        hins.append(model.d)
-    mats.append(np.eye(n))
-    lons.append(model.lb)
-    hins.append(model.ub)
-    return np.vstack(mats), np.concatenate(lons), np.concatenate(hins)
+        if j < n:
+            at[j] = 0
+        else:
+            on[j - n] = False
+    z = P @ x + c + rows.T @ lam
+    ybox = np.where(at != 0, -z, 0.0)
+    return status, x, lam[:m], np.concatenate([lam[m:], ybox]), it
 
 
 def _objective(model: ConvexQpModel, x: np.ndarray) -> float:
@@ -515,82 +467,46 @@ def _solution(model: ConvexQpModel, status, x, nu, y, iterations, curvature=0.0)
     return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound, slope=slope)
 
 
-def _solve_full(model: ConvexQpModel, tol, max_iter, deadline, curvature) -> QpSolution:
-    """Solve in the model's own coordinates; `curvature` is lambda_min(Q)."""
-    n = model.nvar
-    P = 2.0 * model.Q if model.Q is not None else np.zeros((n, n))
-    A_s, lo, hi = _stack(model)
-    raw = _admm(P, model.q, A_s, lo, hi, tol, max_iter, deadline)
-    m = model.A.shape[0]
-    return _solution(model, raw.status, raw.x, raw.y[:m], raw.y[m:], raw.iterations, curvature)
-
-
-def _solve_reduced(model: ConvexQpModel, tol, max_iter, deadline) -> QpSolution:
-    """Solve in x = x0 + Z z coordinates for models convex only on the
-    nullspace of their equality system."""
-    A, b = model.A, model.b
-    x0, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    if float(np.max(np.abs(A @ x0 - b), initial=0.0)) > 1e-8 * (
-        1.0 + float(np.max(np.abs(b), initial=0.0))
-    ):
-        return _infeasible(model)
-    Z = linalg.nullspace_basis(A)
-    k = Z.shape[1]
-    Q, n, p = model.Q, model.nvar, model.C.shape[0]
-
-    if k == 0:
-        # the equality system pins x completely
-        viol = max(
-            float(np.max(model.lb - x0, initial=0.0)),
-            float(np.max(x0 - model.ub, initial=0.0)),
-            float(np.max(model.C @ x0 - model.d, initial=0.0)) if p else 0.0,
-        )
-        if viol > 1e-8 * (1.0 + float(np.max(np.abs(x0)))):
-            return _infeasible(model)
-        x = np.clip(x0, model.lb, model.ub)
-        return _solution(model, STATUS_OPTIMAL, x, None, np.zeros(p + n), 0)
-
-    Pz = Z.T @ (2.0 * Q) @ Z
-    Pz = 0.5 * (Pz + Pz.T)
-    cz = Z.T @ (2.0 * (Q @ x0) + model.q)
-    rows = [Z]
-    lons = [model.lb - x0]
-    hins = [model.ub - x0]
-    if p:
-        rows.insert(0, model.C @ Z)
-        lons.insert(0, np.full(p, -math.inf))
-        hins.insert(0, model.d - model.C @ x0)
-    A_s = np.vstack(rows)
-    raw = _admm(
-        Pz, cz, A_s, np.concatenate(lons), np.concatenate(hins), tol, max_iter, deadline
-    )
-    curvature = 0.5 * float(np.linalg.eigvalsh(Pz)[0])
-    return _solution(model, raw.status, x0 + Z @ raw.x, None, raw.y, raw.iterations, curvature)
-
-
 def solve_convex_qp(
     model: ConvexQpModel,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     deadline: float | None = None,
 ) -> QpSolution:
-    """Solve a convex model to tolerance `tol` on the mixed absolute/relative
-    primal and dual residuals.  Statuses: optimal, infeasible, max_iter (out
-    of iterations, or past `deadline`, a time.monotonic() value; x is then
-    the best iterate).  `bound` certifies the model optimum from below: +inf
-    for an infeasible model, else _bound at the returned point, whatever the
-    status.  An optimal solve also carries its verify_kkt report, `kkt`."""
+    """Solve a convex model by the active-set iteration, to tolerance `tol`
+    on the reduced gradient and the multiplier signs (relative to the data);
+    a model whose Q is absent or zero goes to solve_lp.  Statuses: optimal,
+    infeasible (certified by _interval_presolve or by phase 1's Farkas ray),
+    max_iter (out of active-set iterations, or past `deadline`, a
+    time.monotonic() value; x is then the last iterate).  `bound` certifies
+    the model optimum from below: +inf for an infeasible model, else _bound
+    at the returned point, whatever the status.  An optimal solve also
+    carries its verify_kkt report, `kkt`.  A model with equality rows whose
+    Q is indefinite, lambda_min(Q) < -PSD_SLACK (convex only on the rows'
+    nullspace, as an eigz shift can leave it), certifies with curvature
+    lambda_min(Z'QZ) over an orthonormal nullspace basis Z, its equality
+    multipliers refit by least squares."""
+    if model.Q is None or not np.any(model.Q):
+        return solve_lp(model, deadline)
     if _interval_presolve(model):
         return _infeasible(model)
-    curvature = float(np.linalg.eigvalsh(model.Q)[0]) if model.Q is not None else 0.0
+    P, c = 2.0 * model.Q, model.q
+    start = _start(model, P, c, deadline)
+    if start is None:
+        return _infeasible(model)
+    x, at, feasible = start
+    status, nu, y, it = STATUS_MAXITER, np.zeros(model.A.shape[0]), np.zeros(model.C.shape[0] + model.nvar), 0
+    if feasible:
+        status, x, nu, y, it = _active_set(model, P, c, x, at, tol, max_iter, deadline)
+    curvature = float(np.linalg.eigvalsh(model.Q)[0])
     if curvature < -PSD_SLACK and model.A.shape[0]:
-        sol = _solve_reduced(model, tol, max_iter, deadline)
-    else:
-        sol = _solve_full(model, tol, max_iter, deadline, curvature)
-    if sol.status == STATUS_OPTIMAL:
+        Z = linalg.nullspace_basis(model.A)
+        curvature = float(np.linalg.eigvalsh(Z.T @ model.Q @ Z)[0]) if Z.shape[1] else 0.0
+        nu = None
+    sol = _solution(model, status, x, nu, y, it, curvature)
+    if status == STATUS_OPTIMAL:
         sol.kkt = verify_kkt(model, sol)
     return sol
-
 
 def _load_highs():
     """HiGHS's compiled extension as shipped inside scipy, loaded by itself:
@@ -735,37 +651,35 @@ def verify_kkt(
         return KktReport(math.inf, math.inf, math.inf, math.inf, False)
     nu, mu, pi_l, pi_u = solution.nu, solution.mu, solution.pi_l, solution.pi_u
     grad = _lagrangian_grad(model, x, nu, mu, pi_l, pi_u)
-    stationarity = float(np.max(np.abs(grad), initial=0.0))
+    stationarity = float(np.abs(grad).max(initial=0.0))
 
     primal = max(
-        float(np.max(np.abs(model.A @ x - model.b), initial=0.0)) if model.A.shape[0] else 0.0,
-        float(np.max(model.C @ x - model.d, initial=0.0)) if model.C.shape[0] else 0.0,
-        float(np.max(model.lb - x, initial=0.0)),
-        float(np.max(x - model.ub, initial=0.0)),
+        float(np.abs(model.A @ x - model.b).max(initial=0.0)) if model.A.shape[0] else 0.0,
+        float((model.C @ x - model.d).max(initial=0.0)) if model.C.shape[0] else 0.0,
+        float((model.lb - x).max(initial=0.0)),
+        float((x - model.ub).max(initial=0.0)),
         0.0,
     )
 
     comp = 0.0
     if model.C.shape[0]:
-        comp = float(np.max(np.abs(mu * (model.d - model.C @ x)), initial=0.0))
+        comp = float(np.abs(mu * (model.d - model.C @ x)).max(initial=0.0))
     comp = max(
         comp,
-        float(np.max(np.abs(pi_l * (x - model.lb)), initial=0.0)),
-        float(np.max(np.abs(pi_u * (model.ub - x)), initial=0.0)),
+        float(np.abs(pi_l * (x - model.lb)).max(initial=0.0)),
+        float(np.abs(pi_u * (model.ub - x)).max(initial=0.0)),
     )
 
     dual_viol = max(
-        float(np.max(-mu, initial=0.0)),
-        float(np.max(-pi_l, initial=0.0)),
-        float(np.max(-pi_u, initial=0.0)),
+        float((-mu).max(initial=0.0)),
+        float((-pi_l).max(initial=0.0)),
+        float((-pi_u).max(initial=0.0)),
         0.0,
     )
 
-    scale = 1.0 + max(
-        float(np.max(np.abs(a), initial=0.0))
-        for a in (model.q, model.A, model.b, model.C, model.d, model.lb, model.ub,
-                  x, nu, mu, pi_l, pi_u, 0.0 if model.Q is None else model.Q)
-    )
+    data = (model.q, model.A, model.b, model.C, model.d, model.lb, model.ub,
+            x, nu, mu, pi_l, pi_u, 0.0 if model.Q is None else model.Q)
+    scale = 1.0 + float(np.abs(np.concatenate([np.ravel(a) for a in data])).max())
     s, p_, c_, d_ = (v / scale for v in (stationarity, primal, comp, dual_viol))
     passed = s <= kkt_tol and p_ <= kkt_tol and c_ <= kkt_tol and d_ <= kkt_tol
     return KktReport(s, p_, c_, d_, passed)

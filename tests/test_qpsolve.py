@@ -119,7 +119,9 @@ def test_duplicate_rows_still_solved():
 
 def test_lp_engine_loads_highs_alone():
     # the extension is loaded by itself: importing scipy.optimize would cost
-    # every process ~19 MB; an eig solve makes no LP and loads nothing
+    # every process ~19 MB; eig and eigz solves make no LP, and the phase 1
+    # of their QPs (one equality row at most) is a projection, so they load
+    # nothing; the eiqp eigz QPs are the ones convex only on the nullspace
     script = """
 import sys
 from spectralqp import qpsolve
@@ -128,6 +130,9 @@ from spectralqp.problem import GeneratorSpec, generate_random
 prob = generate_random(GeneratorSpec(family="cbqp", n=8, k=2, seed=0))
 res = solve(prob, SolverConfig(relaxation="eig"))
 assert res.stats["lp_solves"] == 0
+eiqp = generate_random(GeneratorSpec(family="eiqp", n=6, m=1, seed=0))
+res = solve(eiqp, SolverConfig(relaxation="eigz"))
+assert res.status == "optimal" and res.stats["lp_solves"] == 0
 print(qpsolve._highs_core is None, qpsolve._HIGHS_CORE in sys.modules)
 res = solve(prob, SolverConfig(relaxation="auto"))
 assert res.stats["lp_solves"] > 0 and res.stats["lp_iterations"] > 0
@@ -315,8 +320,8 @@ def _small_lps(family, n, seed, shrink):
     st.integers(0, 10_000),
     st.sampled_from([0.0, 0.3]),
 )
-@example("eiqp", 2, 208, 0.0)     # a root LP that ADMM once ran to max_iter on
-@example("eiqp", 4, 5015, 0.3)    # a root LP that ADMM runs to max_iter on
+@example("eiqp", 2, 208, 0.0)     # root LPs that the former ADMM QP engine
+@example("eiqp", 4, 5015, 0.3)    # ran to max_iter on
 def test_lp_bound_is_certified_and_exact(family, n, seed, shrink):
     for model in _small_lps(family, n, seed, shrink):
         sol = qpsolve.solve_lp(model)
@@ -326,12 +331,12 @@ def test_lp_bound_is_certified_and_exact(family, n, seed, shrink):
         # weak duality at a feasible point, with no gap left
         assert sol.bound <= sol.objective
         assert sol.objective - sol.bound <= 1e-6 * (1.0 + abs(sol.bound))
-        # the ADMM reference certifies no more than that feasible value, and
-        # agrees with the bound whenever it converges
+        # the QP entry point hands a linear model to HiGHS: optimal, with the
+        # same certificate
         ref = qpsolve.solve_convex_qp(model)
+        assert ref.status == qpsolve.STATUS_OPTIMAL
         assert ref.bound <= sol.objective
-        if ref.status == qpsolve.STATUS_OPTIMAL:
-            assert abs(sol.bound - ref.bound) <= 1e-6 * (1.0 + abs(ref.bound))
+        assert abs(sol.bound - ref.bound) <= 1e-6 * (1.0 + abs(ref.bound))
 
 
 def test_reduced_inconsistent_equalities():
@@ -381,20 +386,26 @@ def test_matches_box_oracle_on_convex_instances():
         assert sol.objective == pytest.approx(best.value, abs=1e-6)
 
 
-def test_reduced_and_full_paths_agree():
+def test_nullspace_convex_qp_matches_a_full_dimensional_reference():
+    # Q is indefinite but PSD on the nullspace of the equality row, as an
+    # eigz shift leaves it: the active set solves it in full coordinates, and
+    # its optimum and bound match the face enumeration of _model_optimum
     rng = np.random.default_rng(17)
     for _ in range(15):
         n = int(rng.integers(3, 7))
-        Q = 0.5 * rand_psd(rng, n)
-        q = rng.uniform(-2, 2, n)
         A = rng.uniform(-1, 1, size=(1, n))
-        x_mid = rng.uniform(-0.5, 0.5, n)
-        model = make_model(Q, q, A=A, b=A @ x_mid)
-        run = (qpsolve.DEFAULT_TOL, qpsolve.DEFAULT_MAX_ITER, None)
-        full = qpsolve._solve_full(model, *run, float(np.linalg.eigvalsh(Q)[0]))
-        reduced = qpsolve._solve_reduced(model, *run)
-        assert full.status == reduced.status == qpsolve.STATUS_OPTIMAL
-        assert full.objective == pytest.approx(reduced.objective, abs=1e-6)
+        a = A[0] / np.linalg.norm(A[0])
+        Q = 0.5 * rand_psd(rng, n) - 3.0 * np.outer(a, a)
+        Z = np.linalg.svd(A)[2][1:].T
+        Q += max(0.0, -float(np.linalg.eigvalsh(Z.T @ Q @ Z)[0])) * (Z @ Z.T)
+        assert np.linalg.eigvalsh(Q)[0] < -qpsolve.PSD_SLACK
+        q = rng.uniform(-2, 2, n)
+        model = make_model(Q, q, A=A, b=A @ rng.uniform(-0.5, 0.5, n))
+        sol = qpsolve.solve_convex_qp(model)
+        assert sol.status == qpsolve.STATUS_OPTIMAL and sol.kkt.passed
+        best = _model_optimum(model)
+        assert sol.objective == pytest.approx(best, abs=1e-6)
+        assert best - 1e-6 * (1.0 + abs(best)) <= sol.bound <= best
 
 
 def test_solution_bounds_feasible_points():
@@ -494,7 +505,7 @@ def test_kkt_flags_primal_violation():
 
 def test_max_iter_bound_is_lagrangian_bound():
     # coefficients chosen so float stationarity cannot cancel to exactly zero,
-    # making an impossible tolerance unreachable even for the polishing step
+    # making an impossible tolerance unreachable even at the exact optimum
     model = make_model(
         np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([0.7, -1.3]),
         A=[[1.1, 3.3]], b=[1.0], lb=[-5.0, -5.0], ub=[5.0, 5.0],
@@ -585,19 +596,19 @@ def _root_qp(family, n, seed, mode, **kw):
 
 
 def test_truncated_solve_of_a_singular_qp_bounds_the_optimum():
-    # the eig shift leaves Q singular; at a tolerance no iterate meets, 50
-    # iterations stop short of optimal (fewer leave the bound loose)
+    # the eig shift leaves Q singular; one active-set iteration stops short
+    # of optimal, its bound still loose
     model = _root_qp("boxqp", 6, 14, "eig")
-    sol = qpsolve.solve_convex_qp(model, tol=1e-16, max_iter=50)
+    sol = qpsolve.solve_convex_qp(model, tol=1e-16, max_iter=1)
     assert sol.status == qpsolve.STATUS_MAXITER
     # the optimum, by active-set enumeration (see _face_min)
     assert sol.bound <= -28.58583897090549
 
 
 def test_separable_root_qp_converges():
-    # equality rows carry a 1e3 penalty boost; the ADMM step must keep the
-    # accuracy of the Cholesky solves (a step built from an explicit inverse
-    # of the x-update matrix runs this QP to max_iter)
+    # k + m coupling rows and a Q that vanishes on the original variables:
+    # phase 1 is a HiGHS LP, and the regularized KKT solves must still make
+    # progress on its singular faces
     from spectralqp.relaxation import build_separable_relaxation, root_restriction
 
     prob = problem.generate_random(problem.GeneratorSpec(family="eiqp", n=6, m=1, seed=209))
@@ -756,43 +767,87 @@ def test_past_deadline_stops_at_first_check():
     model = make_model(0.5 * rand_psd(rng, n), rng.uniform(-2, 2, n), A=A, b=A @ np.zeros(n))
     sol = qpsolve.solve_convex_qp(model, tol=1e-30, deadline=time.monotonic() - 1.0)
     assert sol.status == qpsolve.STATUS_MAXITER
-    assert sol.iterations == qpsolve._CHECK_EVERY
+    # the deadline is checked before every iteration: at most one runs
+    assert sol.iterations <= 1
 
 
-# tolerances at rounding level, where most polishes fail: seed 0 runs out of
-# iterations, seed 5 converges through a late polish
-@pytest.mark.parametrize("seed, tol", [(0, 1e-16), (5, 1e-14)], ids=["0", "5"])
-def test_polish_skips_a_repeated_active_set(monkeypatch, seed, tol):
+def _node_qps(family, n, seed, shrink, m):
+    """The eig, geig, eigz and separable QPs of a generated instance's node
+    whose box is shrunk toward a random point by `shrink`; a cbqp writes its
+    cardinality row as two C rows, so that its QPs carry inequality rows."""
     from spectralqp.relaxation import (
-        build_spectral_relaxation, restrict, root_restriction, shift_for_mode,
+        NodeRestriction, build_separable_relaxation, build_spectral_relaxation, restrict,
+        shift_for_mode,
     )
 
-    prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=8, k=2, seed=seed))
-    node = root_restriction(prob)
+    kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": m} if family == "eiqp" else {}
+    prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
+    if family == "cbqp":
+        row = np.ones((1, n))
+        prob = problem.validate(
+            n=n, Q=prob.Q, q=prob.q, C=np.vstack([row, -row]), d=[kw["k"], -kw["k"]],
+            lb=prob.lb, ub=prob.ub, integers=prob.integers,
+        )
+    rng = np.random.default_rng(seed)
+    mid = rng.uniform(prob.lb, prob.ub)
+    node = NodeRestriction(
+        free=tuple(range(n)), fixed={},
+        lb=prob.lb + shrink * (mid - prob.lb), ub=prob.ub - shrink * (prob.ub - mid),
+    )
     R = restrict(prob, node)
-    model = build_spectral_relaxation(
-        prob, node, shift_for_mode("eig", R.Qb, R.Ab), restricted=R
+    models = [
+        build_spectral_relaxation(prob, node, shift_for_mode(mode, R.Qb, R.Ab), restricted=R)
+        for mode in ("eig", "geig", "eigz")
+    ]
+    try:
+        models.append(build_separable_relaxation(prob, node, qpsolve.solve_lp, restricted=R))
+    except NodeInfeasible:
+        pass
+    return models
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["cbqp", "boxqp", "eiqp"]),
+    st.integers(2, 6),
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.3]),
+    st.sampled_from([1, 2]),
+)
+@example("eiqp", 5, 7, 0.0, 2)    # two equality rows: phase 1 is a HiGHS LP
+@example("cbqp", 6, 3, 0.3, 1)    # C rows
+@example("eiqp", 6, 28, 0.3, 2)   # a geig bound 5e-6 below the objective, relative to it
+def test_active_set_solves_every_relaxation_qp(family, n, seed, shrink, m):
+    for model in _node_qps(family, n, seed, shrink, m):
+        sol = qpsolve.solve_convex_qp(model)
+        assert sol.status != qpsolve.STATUS_MAXITER, (model.kind, sol.iterations)
+        if sol.status == qpsolve.STATUS_OPTIMAL:
+            assert sol.kkt.passed, (model.kind, sol.kkt)
+            # no gap beyond rounding: relative to the objective and to the
+            # multiplier terms, whose magnitude sets the bound's own guard
+            scale = 1.0 + abs(sol.objective) + np.abs(sol.nu) @ np.abs(model.b) + sol.mu @ np.abs(model.d)
+            assert sol.objective - sol.bound <= 1e-6 * scale, model.kind
+
+
+@pytest.mark.parametrize("rows", ["inequality", "equality"])
+def test_degenerate_vertex_with_tied_multipliers(rows):
+    # min 1/2 |x|^2 - 3 sum(x) over [0, 1]^3 x {0.5}: every upper bound binds
+    # with the same multiplier, the pinned variable sits on both its bounds,
+    # and the rows (one a copy of a bound) bind at the same vertex
+    kw = (
+        {"C": [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]],
+         "d": [1.0, 2.0, 2.0]}
+        if rows == "inequality" else {"A": [[1.0, 1.0, 1.0, 1.0]], "b": [3.5]}
     )
-    ref = qpsolve.solve_convex_qp(model, tol=tol, max_iter=500)
-
-    signs = []
-    polish = qpsolve._polish
-
-    def recorder(P, c, A, lo, hi, y):
-        signs.append(np.sign(y))
-        return polish(P, c, A, lo, hi, y)
-
-    monkeypatch.setattr(qpsolve, "_polish", recorder)
-    sol = qpsolve.solve_convex_qp(model, tol=tol, max_iter=500)
-    assert signs
-    # _polish reads y only through its signs: a repeat would fail again
-    assert not any(np.array_equal(a, b) for a, b in zip(signs, signs[1:]))
-    for field in dataclasses.fields(qpsolve.QpSolution):
-        got, want = getattr(sol, field.name), getattr(ref, field.name)
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want), field.name
-        else:
-            assert got == want, field.name
+    model = make_model(
+        0.5 * np.eye(4), -3.0 * np.ones(4), lb=[0.0, 0.0, 0.0, 0.5], ub=[1.0, 1.0, 1.0, 0.5], **kw
+    )
+    sol = qpsolve.solve_convex_qp(model)
+    assert sol.status == qpsolve.STATUS_OPTIMAL and sol.kkt.passed
+    assert sol.iterations <= 10
+    assert np.allclose(sol.x, [1.0, 1.0, 1.0, 0.5], atol=1e-9)
+    assert sol.objective == pytest.approx(-8.875, abs=1e-9)
+    assert sol.bound <= sol.objective
 
 
 def test_optimal_status_meets_residual_contract():
