@@ -120,7 +120,7 @@ def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
             model = build_mccormick_relaxation(problem, node, restricted=R)
             sol = qpsolve.solve_lp(model)
         elif method == "separable":
-            model = build_separable_relaxation(problem, node, qpsolve.solve_lp)
+            model = build_separable_relaxation(problem, node, qpsolve.solve_lp, restricted=R)
             sol = qpsolve.solve_convex_qp(model)
         else:
             raise ValueError(f"unknown relaxation {method!r}")

@@ -18,10 +18,10 @@ and the working rows, steps to the minimizer along it or to the first
 blocking constraint, and at a stationary point drops the constraint with
 the most negative multiplier.  Phase 1 is an exact breakpoint projection
 onto {a'x = b} within the box for a model with at most one equality row and
-no C rows (the node QPs of every generated family, so that eig and eigz
-solves stay clear of HiGHS), and a HiGHS feasibility LP through solve_lp
-otherwise.  Infeasibility is certified only by _interval_presolve or by
-that LP's Farkas ray.  A model whose Q is absent or zero goes to solve_lp.
+no C rows (the eig, eigz and separable QPs of every generated family, so
+that those solves stay clear of HiGHS), and a HiGHS feasibility LP through
+solve_lp otherwise.  Infeasibility is certified only by _interval_presolve
+or by that LP's Farkas ray.  A model whose Q is absent or zero goes to solve_lp.
 
 A model with equality rows whose Q is indefinite, lambda_min(Q) < -PSD_SLACK
 (curvature nonnegative only on the equality manifold, as an eigz shift can

@@ -7,8 +7,9 @@ feasible set from below:
   until convex, compensating on the box via the concave envelope of x^2,
   i.e. adding alpha * (x'x - (l+u)'x + l'u) <= 0 on [l, u];
 * a lifted McCormick linear program over products X_ij = x_i x_j;
-* a separable eigen-decomposed program with secant underestimators along
-  negative eigendirections.
+* a separable eigen-decomposed QP over the node's own variables: the PSD
+  part of Q plus a secant underestimator along each negative
+  eigendirection.
 
 Shift variants: alpha_e from the plain spectrum of Q, alpha_g from the pencil
 (Q, I + A'A), alpha_z from the nullspace-restricted spectrum Z'QZ, and an
@@ -229,8 +230,8 @@ class McCormickInfo:
 
 @dataclass(eq=False)
 class SeparableInfo:
-    V: np.ndarray         # (nb, k) kept eigendirections
-    lam: np.ndarray       # (k,) eigenvalues
+    V: np.ndarray         # (nb, k) negative eigendirections, the secant ones
+    lam: np.ndarray       # (k,) their eigenvalues
     L: np.ndarray         # (k,) direction lower bounds
     U: np.ndarray         # (k,) direction upper bounds
 
@@ -240,8 +241,8 @@ class ConvexQpModel:
     """min z' Q z + q' z + offset s.t. A z = b, C z <= d, lb <= z <= ub.
 
     Q may be None for a linear program.  `x_dim` is the number of leading
-    components of z that represent the node's free variables (lifted models
-    append auxiliary columns after them)."""
+    components of z that represent the node's free variables; only the
+    McCormick LP appends columns after them."""
 
     kind: str
     Q: np.ndarray | None
@@ -367,26 +368,29 @@ def build_separable_relaxation(
     lp_solve,
     restricted: Restricted | None = None,
 ) -> ConvexQpModel:
-    """Eigen-decomposed relaxation: with Q = V diag(lambda) V', substitute
-    y = V'x and keep lambda_i y_i^2 for positive eigenvalues while replacing
-    each negative one by its secant lambda_i ((L_i + U_i) y_i - L_i U_i) over
-    direction bounds [L_i, U_i].  The bounds come from minimizing and
-    maximizing v_i'x over the node's feasible set with `lp_solve` (two LP
-    solves per kept direction, each tightening the interval-arithmetic range
-    by its certified `bound`); zero eigendirections are dropped.  Raises
-    NodeInfeasible when a direction LP certifies emptiness."""
+    """Separable relaxation (Pardalos, Glick and Rosen, 1987): with
+    Q = V diag(lambda) V', keep lambda_t (v_t'x)^2 for positive eigenvalues,
+    their sum being the PSD part of Q, and replace each negative one by its
+    secant lambda_t ((L_t + U_t) v_t'x - L_t U_t) over direction bounds
+    [L_t, U_t], which is linear in x; zero eigendirections are dropped.  The
+    result is a convex QP over the node's free variables with the node's own
+    rows and box.  The bounds come from minimizing and maximizing v_t'x over
+    the node's feasible set with `lp_solve` (two LP solves per negative
+    direction, each tightening the interval-arithmetic range by its certified
+    `bound`).  Raises NodeInfeasible when a direction LP certifies
+    emptiness."""
     R = restricted if restricted is not None else restrict(problem, node)
     nb = R.Qb.shape[0]
     w, V = linalg.sym_eig_all(R.Qb)
-    keep = np.where(np.abs(w) > ZERO_EIG_TOL)[0]
-    k = keep.size
-    lam = w[keep]
-    Vk = V[:, keep]
+    pos = w > ZERO_EIG_TOL
+    neg = np.where(w < -ZERO_EIG_TOL)[0]
+    lam = w[neg]
+    Vn = V[:, neg]
 
-    L = np.empty(k)
-    U = np.empty(k)
-    for t in range(k):
-        v = Vk[:, t]
+    L = np.empty(neg.size)
+    U = np.empty(neg.size)
+    for t in range(neg.size):
+        v = Vn[:, t]
         lo_iv = float(np.minimum(v * R.lb, v * R.ub).sum())
         hi_iv = float(np.maximum(v * R.lb, v * R.ub).sum())
         lo, hi = lo_iv, hi_iv
@@ -416,46 +420,28 @@ def build_separable_relaxation(
         L[t] = lo - margin
         U[t] = hi + margin
 
-    nvar = nb + k
-    Qhat = np.zeros((nvar, nvar))
-    qhat = np.concatenate([R.qb, np.zeros(k)])
-    offset = R.const
-    for t in range(k):
-        if lam[t] > 0:
-            Qhat[nb + t, nb + t] = lam[t]
-        else:
-            qhat[nb + t] = lam[t] * (L[t] + U[t])
-            offset += -lam[t] * L[t] * U[t]
-
-    coupling = np.hstack([Vk.T, -np.eye(k)])
-    if R.Ab.size:
-        A = np.vstack([np.hstack([R.Ab, np.zeros((R.Ab.shape[0], k))]), coupling])
-        b = np.concatenate([R.bb, np.zeros(k)])
-    else:
-        A = coupling
-        b = np.zeros(k)
-    C = np.hstack([R.Cb, np.zeros((R.Cb.shape[0], k))]) if R.Cb.size else np.zeros((0, nvar))
+    Qhat = (V[:, pos] * w[pos]) @ V[:, pos].T
     return ConvexQpModel(
         kind="separable",
-        Q=Qhat,
-        q=qhat,
-        offset=offset,
-        A=A,
-        b=b,
-        C=C,
+        Q=0.5 * (Qhat + Qhat.T),
+        q=R.qb + Vn @ (lam * (L + U)),
+        offset=R.const - float(lam @ (L * U)),
+        A=R.Ab,
+        b=R.bb,
+        C=R.Cb,
         d=R.db,
-        lb=np.concatenate([R.lb, L]),
-        ub=np.concatenate([R.ub, U]),
+        lb=R.lb.copy(),
+        ub=R.ub.copy(),
         x_dim=nb,
-        separable=SeparableInfo(V=Vk, lam=lam, L=L, U=U),
+        separable=SeparableInfo(V=Vn, lam=lam, L=L, U=U),
     )
 
 
 def relaxed_objective_at(model: ConvexQpModel, x) -> float:
     """Value of the relaxation at a point x of the node's free space: the
-    model objective for spectral kinds, the tightest envelope-consistent
-    lifting for McCormick, and the secant objective for the separable kind.
-    For feasible x this never exceeds the true restricted objective."""
+    model objective for the spectral and separable kinds, and the tightest
+    envelope-consistent lifting for McCormick.  For feasible x this never
+    exceeds the true restricted objective."""
     x = np.asarray(x, dtype=float)
     if model.mccormick is not None:
         info = model.mccormick
@@ -469,19 +455,6 @@ def relaxed_objective_at(model: ConvexQpModel, x) -> float:
             hi = min(li * x[j] + uj * x[i] - li * uj, ui * x[j] + lj * x[i] - ui * lj)
             total += c * lo if c > 0 else c * hi
         return total
-    if model.separable is not None:
-        info = model.separable
-        y = info.V.T @ x
-        # model.offset = restriction constant + secant constants; subtract the
-        # secant part here because the loop below adds the full secant terms
-        secant_const = float(np.sum(np.where(info.lam < 0, -info.lam * info.L * info.U, 0.0)))
-        total = float(model.q[: model.x_dim] @ x) + model.offset - secant_const
-        for t in range(info.lam.size):
-            if info.lam[t] > 0:
-                total += info.lam[t] * y[t] ** 2
-            else:
-                total += info.lam[t] * ((info.L[t] + info.U[t]) * y[t] - info.L[t] * info.U[t])
-        return total
     if model.Q is None:
-        return float(model.q[: model.x_dim] @ x) + model.offset
-    return float(x @ model.Q[: model.x_dim, : model.x_dim] @ x + model.q[: model.x_dim] @ x) + model.offset
+        return float(model.q @ x) + model.offset
+    return float(x @ model.Q @ x + model.q @ x) + model.offset

@@ -606,16 +606,35 @@ def test_truncated_solve_of_a_singular_qp_bounds_the_optimum():
 
 
 def test_separable_root_qp_converges():
-    # k + m coupling rows and a Q that vanishes on the original variables:
-    # phase 1 is a HiGHS LP, and the regularized KKT solves must still make
-    # progress on its singular faces
-    from spectralqp.relaxation import build_separable_relaxation, root_restriction
+    # a cbqp whose cardinality row is written as two C rows: phase 1 is a
+    # HiGHS LP, and the eig shift leaves Q singular along its eigenvector, so
+    # the regularized KKT solves must still make progress on singular faces
+    from spectralqp.relaxation import (
+        build_separable_relaxation, build_spectral_relaxation, compute_shift_eig, restrict,
+        root_restriction,
+    )
 
-    prob = problem.generate_random(problem.GeneratorSpec(family="eiqp", n=6, m=1, seed=209))
-    model = build_separable_relaxation(prob, root_restriction(prob), qpsolve.solve_lp)
+    spec = problem.GeneratorSpec(family="cbqp", n=8, density=0.25, k=2, seed=0)
+    prob = problem.generate_random(spec)
+    row = np.ones((1, prob.n))
+    prob = problem.validate(
+        n=prob.n, Q=prob.Q, q=prob.q, C=np.vstack([row, -row]), d=[spec.k, -spec.k],
+        lb=prob.lb, ub=prob.ub, integers=prob.integers,
+    )
+    node = root_restriction(prob)
+    R = restrict(prob, node)
+    model = build_spectral_relaxation(prob, node, compute_shift_eig(R.Qb), restricted=R)
+    assert model.C.shape[0] == 2
+    assert np.linalg.eigvalsh(model.Q)[0] <= 1e-9 * np.abs(model.Q).max()
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.iterations <= 5_000
+
+    # the separable model lives over the node's own variables
+    prob = problem.generate_random(problem.GeneratorSpec(family="eiqp", n=6, m=1, seed=209))
+    model = build_separable_relaxation(prob, root_restriction(prob), qpsolve.solve_lp)
+    assert model.nvar == 6
+    assert qpsolve.solve_convex_qp(model).status == qpsolve.STATUS_OPTIMAL
 
 
 def _face_min(model, fixed, rows):

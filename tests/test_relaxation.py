@@ -523,26 +523,60 @@ def test_separable_bilinear_half():
     node = root_restriction(prob)
     model = build_separable_relaxation(prob, node, qpsolve.solve_lp)
     info = model.separable
-    assert np.allclose(info.lam, [-1.0, 1.0], atol=1e-12)
+    assert np.allclose(info.lam, [-1.0], atol=1e-12)
     r = 1.0 / np.sqrt(2.0)
     assert info.L[0] == pytest.approx(-r, abs=1e-6)
     assert info.U[0] == pytest.approx(r, abs=1e-6)
-    assert info.L[1] == pytest.approx(0.0, abs=1e-6)
-    assert info.U[1] == pytest.approx(np.sqrt(2.0), abs=1e-6)
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_separable_drops_zero_eigendirections():
+    # PSD Q (eigenvalues 0 and 2): no secant direction, so no direction LP,
+    # and the model is Q itself over the node's own variables and rows
     prob = box_problem([[1.0, 1.0], [1.0, 1.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     node = root_restriction(prob)
-    model = build_separable_relaxation(prob, node, qpsolve.solve_lp)
+    lps = []
+
+    def record(lp):
+        lps.append(lp)
+        return qpsolve.solve_lp(lp)
+
+    model = build_separable_relaxation(prob, node, record)
+    assert lps == []
+    assert model.separable.lam.shape == (0,)
+    assert np.allclose(model.Q, prob.Q, atol=1e-12)
+    assert model.nvar == prob.n
+    assert model.A.shape == (0, 2) and model.C.shape == (0, 2)
+
+
+def test_separable_objective_is_the_secant_formula():
+    # an equality row and a fixed variable (so const != 0): the model's
+    # objective at any point is the separable formula written out per
+    # eigendirection
+    rng = np.random.default_rng(41)
+    n = 4
+    prob = box_problem(
+        rand_sym(rng, n), q=rng.uniform(-2, 2, n),
+        A=[rng.uniform(0.5, 1.5, n)], b=[1.5], lb=np.zeros(n), ub=np.ones(n),
+    )
+    node = NodeRestriction(
+        free=(0, 1, 3), fixed={2: 0.5}, lb=np.zeros(3), ub=np.ones(3)
+    )
+    R = restrict(prob, node)
+    model = build_separable_relaxation(prob, node, qpsolve.solve_lp, restricted=R)
     info = model.separable
-    assert info.lam.shape == (1,)
-    assert info.lam[0] == pytest.approx(2.0)
-    assert model.nvar == 3
-    assert model.A.shape == (1, 3)     # just the coupling row
+    assert model.nvar == 3 and model.A.shape == (1, 3)
+    assert R.const != 0.0 and info.lam.size >= 1
+    w, V = np.linalg.eigh(R.Qb)
+    for _ in range(20):
+        x = rng.uniform(R.lb, R.ub)
+        ref = float(R.qb @ x) + R.const
+        ref += sum(wt * float(V[:, t] @ x) ** 2 for t, wt in enumerate(w) if wt > 0)
+        y = info.V.T @ x
+        ref += float(np.sum(info.lam * ((info.L + info.U) * y - info.L * info.U)))
+        assert relaxed_objective_at(model, x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_separable_underestimates():
