@@ -6,9 +6,12 @@ cannot beat the incumbent minus abs_tol.  A surviving node searches its
 relaxation point for an incumbent, is tested again when that improved the
 incumbent, and is otherwise branched: binary variables through the spectral
 rules, general integers by most-fractional bound splits, continuous
-nonconvex variables by envelope-violation spatial splits.  Convex nodes (Q
-restricted PSD, or PSD on the equality nullspace) skip the shift and solve
-the plain relaxation.
+nonconvex variables by envelope-violation spatial splits.  One smallest
+eigenpair of the node's Q decides its shift: convex nodes (Q restricted
+PSD, or PSD on the equality nullspace) skip the shift and solve the plain
+relaxation, and every other node takes its mode's shift.  The eigz pencils
+(Q, I + delta A'A), also the QP class of AUTO, share one delta per run,
+found by the geometric search on the root's data before the first node.
 
 In AUTO mode the engine arbitrates between the spectral QP and the McCormick
 LP with per-class solve intervals omega: a relaxation runs when at least
@@ -56,6 +59,7 @@ from .relaxation import (
     build_mccormick_relaxation,
     build_spectral_relaxation,
     compute_shift_eigz_approx,
+    compute_shift_eigz_exact,
     shift_for_mode,
     restrict,
     root_restriction,
@@ -244,8 +248,12 @@ class _Engine:
         self.config = config
         self.deadline = deadline      # time.monotonic() value ending every solve
         self.selection = SelectionState()
+        # delta of the eigz pencils, searched once on the root's data
         self.root_delta: float | None = None
         self.delta_trace: list = []
+        if config.relaxation in (MODE_EIGZ, MODE_AUTO) and problem.m:
+            shift, self.delta_trace = compute_shift_eigz_approx(problem.Q, problem.A)
+            self.root_delta = shift.delta
         self.certified: list = []     # the current node's solves with a finite bound
         # step of the heuristic's projected gradient: 1 / Lipschitz constant
         self.pg_step = 1.0 / (2.0 * float(np.linalg.norm(problem.Q, ord=2)) + 1e-12)
@@ -263,25 +271,22 @@ class _Engine:
 
     # ------------------------------------------------------------- relaxation
 
-    def _qp_shift(self, R: Restricted, pair: linalg.EigenPair) -> SpectralShift:
-        cfg = self.config
-        if self.root_delta is None and cfg.relaxation in (MODE_EIGZ, MODE_AUTO) and R.Ab.size:
-            # the first shifted node with equality rows fixes delta for the run
-            shift, self.delta_trace = compute_shift_eigz_approx(R.Qb, R.Ab)
-            self.root_delta = shift.delta
-            return shift
-        return shift_for_mode(cfg.relaxation, R.Qb, R.Ab, self.root_delta, pair)
+    def _shift(self, R: Restricted) -> SpectralShift | None:
+        """The node's shift, from one smallest eigenpair of R.Qb: zero
+        (KIND_NONE) when R.Qb is PSD, or PSD on the nullspace of the node's
+        equality rows; else None in mccormick mode and the mode's shift
+        otherwise, eigz and auto at the run's delta."""
+        pair = linalg.sym_eig_min(R.Qb)
+        if pair.value >= -CONVEX_TOL or (
+            R.Ab.shape[0] and compute_shift_eigz_exact(R.Qb, R.Ab).lam >= -CONVEX_TOL
+        ):
+            self.stats["convex_nodes"] += 1
+            return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector)
+        if self.config.relaxation == MODE_MCCORMICK:
+            return None
+        return shift_for_mode(self.config.relaxation, R.Qb, R.Ab, self.root_delta, pair)
 
-    def _convex_shift(self, R: Restricted, pair: linalg.EigenPair) -> SpectralShift | None:
-        """Zero shift when the node is convex (box, or on the equality
-        nullspace), else None; `pair` is the smallest eigenpair of R.Qb."""
-        convex = pair.value >= -CONVEX_TOL
-        if not convex and R.Ab.shape[0]:
-            Z = linalg.nullspace_basis(R.Ab)
-            convex = Z.shape[1] == 0 or linalg.sym_eig_min(Z.T @ R.Qb @ Z).value >= -CONVEX_TOL
-        return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector) if convex else None
-
-    def _accept(self, model, sol):
+    def _accept(self, sol):
         """The certified bound of a relaxation solve (None when it has none)
         and its point over the node's free variables; raises NodeInfeasible
         when the solve certified the node empty.  A solve with a finite bound
@@ -297,24 +302,15 @@ class _Engine:
         bound = sol.bound if math.isfinite(sol.bound) else None
         if sol.slope is not None:
             self.certified.append(sol)
-        return bound, (sol.x[: model.x_dim] if sol.x is not None else None)
+        return bound, sol.x
 
-    def _solve_qp(self, entry, R, pair=None, shift=None):
-        """Bound the node by its spectral QP.  `pair` (the smallest eigenpair
-        of R.Qb) and `shift` (its convexity test's zero shift) are passed by a
-        caller that already ran the test."""
-        if pair is None:
-            pair = linalg.sym_eig_min(R.Qb)
-            shift = self._convex_shift(R, pair)
-        if shift is not None:
-            self.stats["convex_nodes"] += 1
-        else:
-            shift = self._qp_shift(R, pair)
+    def _solve_qp(self, entry, R, shift):
+        """Bound the node by its spectral QP under `shift` (from _shift)."""
         model = build_spectral_relaxation(self.problem, entry.node, shift, restricted=R)
         self.stats["qp_solves"] += 1
         sol = qpsolve.solve_convex_qp(model, deadline=self.deadline)
         self.stats["qp_iterations"] += sol.iterations
-        bound, x = self._accept(model, sol)
+        bound, x = self._accept(sol)
         return bound, x, shift, model.kind
 
     def _solve_lp(self, entry, R):
@@ -326,23 +322,20 @@ class _Engine:
         self.stats["lp_solves"] += 1
         sol = qpsolve.solve_lp(model, deadline=self.deadline)
         self.stats["lp_iterations"] += sol.iterations
-        bound, x = self._accept(model, sol)
-        return bound, x
+        bound, x = self._accept(sol)
+        return bound, (x[: R.Qb.shape[0]] if x is not None else None)
 
     def lower_bound(self, entry: _Node, R: Restricted):
         """Bound one node.  Returns (bound, x_relax, shift, kind_used); raises
         NodeInfeasible when any relaxation certifies emptiness."""
         cfg = self.config
         self.certified = []
-        if cfg.relaxation == MODE_MCCORMICK:
-            pair = linalg.sym_eig_min(R.Qb)
-            convex = self._convex_shift(R, pair)
-            if convex is not None:
-                return self._solve_qp(entry, R, pair, convex)
+        if cfg.relaxation != MODE_AUTO:
+            shift = self._shift(R)
+            if shift is not None:
+                return self._solve_qp(entry, R, shift)
             bound, x = self._solve_lp(entry, R)
             return bound, x, None, "mccormick"
-        if cfg.relaxation != MODE_AUTO:
-            return self._solve_qp(entry, R)
 
         # AUTO: counters advance every node, solve whatever is due
         sel = self.selection
@@ -354,7 +347,7 @@ class _Engine:
         f_qp = x_qp = shift = kind = None
         f_lp = x_lp = None
         if due_qp:
-            f_qp, x_qp, shift, kind = self._solve_qp(entry, R)
+            f_qp, x_qp, shift, kind = self._solve_qp(entry, R, self._shift(R))
             since_qp = 0
         if due_lp:
             f_lp, x_lp = self._solve_lp(entry, R)
@@ -610,8 +603,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             children, fixings = _tighten_children(problem, node, children, eng.certified, f_ubd)
             eng.stats["reduced_cost_fixings"] += fixings
         for child in children:
-            if np.any(child.lb > child.ub + 1e-12):
-                continue
             order += 1
             kid = _Node(node=child, bound=node_bound, depth=entry.depth + 1, order=order)
             heapq.heappush(heap, (kid.bound, kid.order, kid))

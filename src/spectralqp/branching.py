@@ -25,7 +25,6 @@ import numpy as np
 from . import linalg
 from .relaxation import NodeRestriction, SpectralShift
 
-KIND_BINARY_FIX = "binary_fix"
 KIND_SPATIAL_SPLIT = "spatial_split"
 
 SPLIT_CLAMP = 0.2      # spatial split point forced this deep into the box

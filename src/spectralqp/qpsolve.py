@@ -246,8 +246,9 @@ def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
     multiplier then leaves (the smallest index on ties), or, when none is
     below -tol, x is optimal.  Each KKT solve counts as one iteration; past
     `deadline` the run stops before its next solve.  Returns (status, x, nu,
-    y, iterations), y stacking the multipliers of [C; box] as _solution
-    reads them."""
+    mu, z, iterations): the multipliers of the equality rows, the C rows and
+    the box, z_i = -(Px + c + A'nu + C'mu)_i on a variable at a bound and
+    zero elsewhere."""
     n, m, p = model.nvar, model.A.shape[0], model.C.shape[0]
     lb, ub, C, d = model.lb, model.ub, model.C, model.d
     rows = np.vstack([model.A, C])
@@ -343,8 +344,7 @@ def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
         else:
             on[j - n] = False
     z = P @ x + c + rows.T @ lam
-    ybox = np.where(at != 0, -z, 0.0)
-    return status, x, lam[:m], np.concatenate([lam[m:], ybox]), it
+    return status, x, lam[:m], lam[m:], np.where(at != 0, -z, 0.0), it
 
 
 def _objective(model: ConvexQpModel, x: np.ndarray) -> float:
@@ -444,16 +444,15 @@ def _lagrangian_grad(model: ConvexQpModel, x, nu, mu, pi_l, pi_u) -> np.ndarray:
     return grad - pi_l + pi_u
 
 
-def _solution(model: ConvexQpModel, status, x, nu, y, iterations, curvature=0.0) -> QpSolution:
+def _solution(model: ConvexQpModel, status, x, nu, mu, z, iterations, curvature=0.0) -> QpSolution:
     """The solution at x (None when the solver has no point; the objective
     is then nan), its bound +inf when `status` is infeasible, else _bound at
-    x with its slope.  `y` stacks the multipliers of the rows [C; I] (the inequalities, then
-    the box); `nu` holds the equality multipliers, or is None to fit them by
-    least squares on the stationarity residual, which only the reduced path
-    asks for: its x then certifies with curvature lambda_min(Z'QZ)."""
-    p = model.C.shape[0]
-    ybox = y[p:]
-    mu, pi_l, pi_u = np.maximum(y[:p], 0.0), np.maximum(-ybox, 0.0), np.maximum(ybox, 0.0)
+    x with its slope.  `mu` holds the inequality multipliers and `z` the box
+    ones (pi_u = max(z, 0), pi_l = max(-z, 0)); `nu` holds the equality
+    multipliers, or is None to fit them by least squares on the stationarity
+    residual, which only the reduced path asks for: its x then certifies
+    with curvature lambda_min(Z'QZ)."""
+    mu, pi_l, pi_u = np.maximum(mu, 0.0), np.maximum(-z, 0.0), np.maximum(z, 0.0)
     reduced = nu is None
     if reduced:
         grad = _lagrangian_grad(model, x, None, mu, pi_l, pi_u)
@@ -495,15 +494,16 @@ def solve_convex_qp(
     if start is None:
         return _infeasible(model)
     x, at, feasible = start
-    status, nu, y, it = STATUS_MAXITER, np.zeros(model.A.shape[0]), np.zeros(model.C.shape[0] + model.nvar), 0
+    status, it = STATUS_MAXITER, 0
+    nu, mu, z = np.zeros(model.A.shape[0]), np.zeros(model.C.shape[0]), np.zeros(model.nvar)
     if feasible:
-        status, x, nu, y, it = _active_set(model, P, c, x, at, tol, max_iter, deadline)
+        status, x, nu, mu, z, it = _active_set(model, P, c, x, at, tol, max_iter, deadline)
     curvature = float(np.linalg.eigvalsh(model.Q)[0])
     if curvature < -PSD_SLACK and model.A.shape[0]:
         Z = linalg.nullspace_basis(model.A)
         curvature = float(np.linalg.eigvalsh(Z.T @ model.Q @ Z)[0]) if Z.shape[1] else 0.0
         nu = None
-    sol = _solution(model, status, x, nu, y, it, curvature)
+    sol = _solution(model, status, x, nu, mu, z, it, curvature)
     if status == STATUS_OPTIMAL:
         sol.kkt = verify_kkt(model, sol)
     return sol
@@ -605,7 +605,8 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
         STATUS_OPTIMAL if optimal else STATUS_MAXITER,
         x,
         -row_dual[:m],
-        -np.concatenate([row_dual[m:], col_dual]),
+        -row_dual[m:],
+        -col_dual,
         iterations,
     )
     if optimal:

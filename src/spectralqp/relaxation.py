@@ -240,9 +240,9 @@ class SeparableInfo:
 class ConvexQpModel:
     """min z' Q z + q' z + offset s.t. A z = b, C z <= d, lb <= z <= ub.
 
-    Q may be None for a linear program.  `x_dim` is the number of leading
-    components of z that represent the node's free variables; only the
-    McCormick LP appends columns after them."""
+    Q may be None for a linear program.  z is the node's free variables,
+    except in the McCormick LP, which appends one column per product after
+    them (`mccormick.lb` keeps their number)."""
 
     kind: str
     Q: np.ndarray | None
@@ -254,7 +254,6 @@ class ConvexQpModel:
     d: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    x_dim: int
     mccormick: McCormickInfo | None = None
     separable: SeparableInfo | None = None
 
@@ -298,7 +297,6 @@ def build_spectral_relaxation(
         d=R.db,
         lb=l.copy(),
         ub=u.copy(),
-        x_dim=nb,
     )
 
 
@@ -357,7 +355,6 @@ def build_mccormick_relaxation(
         d=d,
         lb=xlb,
         ub=xub,
-        x_dim=nb,
         mccormick=McCormickInfo(pairs=pairs, coeffs=coeffs, lb=l.copy(), ub=u.copy()),
     )
 
@@ -380,7 +377,6 @@ def build_separable_relaxation(
     `bound`).  Raises NodeInfeasible when a direction LP certifies
     emptiness."""
     R = restricted if restricted is not None else restrict(problem, node)
-    nb = R.Qb.shape[0]
     w, V = linalg.sym_eig_all(R.Qb)
     pos = w > ZERO_EIG_TOL
     neg = np.where(w < -ZERO_EIG_TOL)[0]
@@ -406,8 +402,7 @@ def build_separable_relaxation(
                 d=R.db,
                 lb=R.lb.copy(),
                 ub=R.ub.copy(),
-                x_dim=nb,
-            )
+                    )
             bound = lp_solve(lp).bound
             if bound == math.inf:
                 raise NodeInfeasible("direction bound LP certified an empty node")
@@ -432,7 +427,6 @@ def build_separable_relaxation(
         d=R.db,
         lb=R.lb.copy(),
         ub=R.ub.copy(),
-        x_dim=nb,
         separable=SeparableInfo(V=Vn, lam=lam, L=L, U=U),
     )
 
@@ -446,7 +440,7 @@ def relaxed_objective_at(model: ConvexQpModel, x) -> float:
     if model.mccormick is not None:
         info = model.mccormick
         l, u = info.lb, info.ub
-        total = float(model.q[: model.x_dim] @ x) + model.offset
+        total = float(model.q[: l.size] @ x) + model.offset
         for c, (i, j) in zip(info.coeffs, info.pairs):
             if c == 0.0:
                 continue

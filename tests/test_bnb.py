@@ -285,9 +285,55 @@ def test_one_eigensolve_per_node_in_eig_mode(monkeypatch):
 def test_eigz_node_eigen_work_bounded(monkeypatch):
     prob = generate_random(GeneratorSpec(family="cbqp", n=8, density=0.5, k=2, seed=1))
     per_node = _eig_calls_per_bound(monkeypatch, prob, "eigz")
-    # convexity test, nullspace test, one pencil at the root delta
-    for sym, gen in per_node[1:]:
+    # convexity test, nullspace test, one pencil at the run's delta; the
+    # delta search runs before the first node, so the root is no exception
+    for sym, gen in per_node:
         assert sym <= 2 and gen <= 1
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("rows", (0, 1))
+def test_delta_searched_once_per_run(mode, rows, monkeypatch):
+    search = bnb.compute_shift_eigz_approx
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(bnb, "compute_shift_eigz_approx", counted)
+    if rows:
+        spec = GeneratorSpec(family="cbqp", n=8, density=0.5, k=2, seed=1)
+    else:
+        spec = GeneratorSpec(family="boxqp", n=5, density=0.5, seed=1)
+    res = solve(generate_random(spec), SolverConfig(relaxation=mode))
+    assert res.status == "optimal" and res.nodes > 1
+    searched = rows == 1 and mode in ("eigz", "auto")
+    assert len(calls) == int(searched)
+    assert ("root_delta" in res.stats) == searched
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_node_convex_on_row_nullspace_needs_no_shift(mode):
+    # lambda_min(Q) = -1, but Q is PSD on the nullspace of x1 - x2 = 0,
+    # where the objective is 2 x1^2
+    prob = validate(
+        2,
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.zeros(2),
+        A=np.array([[1.0, -1.0]]),
+        b=np.zeros(1),
+        lb=-np.ones(2),
+        ub=np.ones(2),
+    )
+    res = solve(prob, SolverConfig(relaxation=mode))
+    assert res.status == "optimal"
+    assert res.nodes == 1
+    assert res.f_ubd == pytest.approx(0.0, abs=1e-9)
+    assert res.trace[0]["relaxation"] == "none"
+    assert res.stats["convex_nodes"] == 1
+    # the delta search runs even though no node is shifted
+    assert ("root_delta" in res.stats) == (mode in ("eigz", "auto"))
 
 
 def test_trace_disabled():

@@ -39,7 +39,6 @@ def make_model(Q, q, offset=0.0, A=None, b=None, C=None, d=None, lb=None, ub=Non
         d=d,
         lb=np.asarray(lb, dtype=float) if lb is not None else -np.ones(n),
         ub=np.asarray(ub, dtype=float) if ub is not None else np.ones(n),
-        x_dim=n,
         **kw,
     )
 

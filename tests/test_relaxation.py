@@ -457,7 +457,7 @@ def test_mccormick_bilinear_structure_and_bound():
     info = model.mccormick
     assert info.pairs == [(0, 0), (1, 1), (0, 1)]
     assert np.allclose(info.coeffs, [0.0, 0.0, 2.0])
-    assert model.nvar == 5 and model.x_dim == 2
+    assert model.nvar == 5 and model.mccormick.lb.size == 2
     assert model.C.shape[0] == 12      # four envelope rows per lifted column
     sol = qpsolve.solve_lp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
