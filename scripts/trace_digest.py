@@ -76,10 +76,8 @@ def instances():
 def truncated_root_bound(problem, mode: str) -> float:
     """The bound of the root QP of a spectral mode after at most
     TRUNCATED_MAX_ITER active-set iterations."""
-    node = root_restriction(problem)
-    R = restrict(problem, node)
-    shift = shift_for_mode(mode, R.Qb, R.Ab)
-    model = build_spectral_relaxation(problem, node, shift, restricted=R)
+    R = restrict(problem, root_restriction(problem))
+    model = build_spectral_relaxation(R, shift_for_mode(mode, R.Q, R.A))
     return qpsolve.solve_convex_qp(model, max_iter=TRUNCATED_MAX_ITER).bound
 
 

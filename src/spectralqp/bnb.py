@@ -1,15 +1,16 @@
 """Branch-and-bound engine for nonconvex (MI)QP over boxes with linear rows.
 
 Nodes live on a best-bound heap (ties by creation order).  Each popped node is
-restricted, bounded by the configured relaxation, and fathomed when its bound
-cannot beat the incumbent minus abs_tol.  A surviving node searches its
-relaxation point for an incumbent, is tested again when that improved the
-incumbent, and is otherwise branched: binary variables through the spectral
-rules, general integers by most-fractional bound splits, continuous
-nonconvex variables by envelope-violation spatial splits.  One smallest
-eigenpair of the node's Q decides its shift: convex nodes (Q restricted
-PSD, or PSD on the equality nullspace) skip the shift and solve the plain
-relaxation, and every other node takes its mode's shift.  The eigz pencils
+restricted to its model (`relaxation.restrict`), bounded by the configured
+relaxation of that model, and fathomed when its bound cannot beat the
+incumbent minus abs_tol.  A surviving node searches its relaxation point for
+an incumbent, is tested again when that improved the incumbent, and is
+otherwise branched: binary variables through the spectral rules, general
+integers by most-fractional bound splits, continuous nonconvex variables by
+envelope-violation spatial splits.  One smallest eigenpair of the node's Q
+decides its shift: convex nodes (Q restricted PSD, or PSD on the equality
+nullspace) skip the shift and solve the plain relaxation, and every other
+node takes its mode's shift.  The eigz pencils
 (Q, I + delta A'A), also the QP class of AUTO, share one delta per run,
 found by the geometric search on the root's data before the first node.
 
@@ -52,9 +53,9 @@ from .problem import ProblemInstance, check_feasibility, evaluate_objective
 from .relaxation import (
     CONVEX_TOL,
     KIND_NONE,
+    ConvexQpModel,
     NodeInfeasible,
     NodeRestriction,
-    Restricted,
     SpectralShift,
     build_mccormick_relaxation,
     build_spectral_relaxation,
@@ -109,6 +110,11 @@ class SolverConfig:
             raise ValueError(f"unknown branch rule {self.branch_rule!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        # `not >= 0` also rejects NaN, which every deadline test reads as passed
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be nonnegative, got {self.time_limit!r}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node_limit must be nonnegative, got {self.node_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,6 @@ def upper_bound_heuristic(
 
 class _Engine:
     def __init__(self, problem: ProblemInstance, config: SolverConfig, deadline: float | None):
-        self.problem = problem
         self.config = config
         self.deadline = deadline      # time.monotonic() value ending every solve
         self.selection = SelectionState()
@@ -271,26 +276,29 @@ class _Engine:
 
     # ------------------------------------------------------------- relaxation
 
-    def _shift(self, R: Restricted) -> SpectralShift | None:
-        """The node's shift, from one smallest eigenpair of R.Qb: zero
-        (KIND_NONE) when R.Qb is PSD, or PSD on the nullspace of the node's
+    def _shift(self, R: ConvexQpModel) -> SpectralShift | None:
+        """The node's shift, from one smallest eigenpair of R.Q: zero
+        (KIND_NONE) when R.Q is PSD, or PSD on the nullspace of the node's
         equality rows; else None in mccormick mode and the mode's shift
         otherwise, eigz and auto at the run's delta."""
-        pair = linalg.sym_eig_min(R.Qb)
+        pair = linalg.sym_eig_min(R.Q)
         if pair.value >= -CONVEX_TOL or (
-            R.Ab.shape[0] and compute_shift_eigz_exact(R.Qb, R.Ab).lam >= -CONVEX_TOL
+            R.A.shape[0] and compute_shift_eigz_exact(R.Q, R.A).lam >= -CONVEX_TOL
         ):
             self.stats["convex_nodes"] += 1
             return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector)
         if self.config.relaxation == MODE_MCCORMICK:
             return None
-        return shift_for_mode(self.config.relaxation, R.Qb, R.Ab, self.root_delta, pair)
+        return shift_for_mode(self.config.relaxation, R.Q, R.A, self.root_delta, pair)
 
     def _accept(self, sol):
         """The certified bound of a relaxation solve (None when it has none)
         and its point over the node's free variables; raises NodeInfeasible
         when the solve certified the node empty.  A solve with a finite bound
-        joins `certified`, whose slopes tighten the node's children."""
+        joins `certified`, whose slopes tighten the node's children.
+        stats["kkt_discards"] counts optimal solves whose `verify_kkt`
+        failed; their bound is still used, since it is certified without
+        the KKT check."""
         if sol.bound == math.inf:
             raise NodeInfeasible("relaxation certified the node empty")
         rep = sol.kkt
@@ -304,37 +312,39 @@ class _Engine:
             self.certified.append(sol)
         return bound, sol.x
 
-    def _solve_qp(self, entry, R, shift):
-        """Bound the node by its spectral QP under `shift` (from _shift)."""
-        model = build_spectral_relaxation(self.problem, entry.node, shift, restricted=R)
+    def _solve_qp(self, R, shift):
+        """Bound the node model R by its spectral QP under `shift` (from
+        _shift)."""
+        model = build_spectral_relaxation(R, shift)
         self.stats["qp_solves"] += 1
         sol = qpsolve.solve_convex_qp(model, deadline=self.deadline)
         self.stats["qp_iterations"] += sol.iterations
         bound, x = self._accept(sol)
         return bound, x, shift, model.kind
 
-    def _solve_lp(self, entry, R):
-        """Bound the node by its McCormick LP; no bound once the deadline has
-        passed, so the node keeps its parent bound."""
+    def _solve_lp(self, R):
+        """Bound the node model R by its McCormick LP; no bound once the
+        deadline has passed, so the node keeps its parent bound."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             return None, None
-        model = build_mccormick_relaxation(self.problem, entry.node, restricted=R)
+        model = build_mccormick_relaxation(R)
         self.stats["lp_solves"] += 1
         sol = qpsolve.solve_lp(model, deadline=self.deadline)
         self.stats["lp_iterations"] += sol.iterations
         bound, x = self._accept(sol)
-        return bound, (x[: R.Qb.shape[0]] if x is not None else None)
+        return bound, (x[: R.nvar] if x is not None else None)
 
-    def lower_bound(self, entry: _Node, R: Restricted):
-        """Bound one node.  Returns (bound, x_relax, shift, kind_used); raises
-        NodeInfeasible when any relaxation certifies emptiness."""
+    def lower_bound(self, R: ConvexQpModel):
+        """Bound one node, given its model R from `restrict`.  Returns
+        (bound, x_relax, shift, kind_used); raises NodeInfeasible when any
+        relaxation certifies emptiness."""
         cfg = self.config
         self.certified = []
         if cfg.relaxation != MODE_AUTO:
             shift = self._shift(R)
             if shift is not None:
-                return self._solve_qp(entry, R, shift)
-            bound, x = self._solve_lp(entry, R)
+                return self._solve_qp(R, shift)
+            bound, x = self._solve_lp(R)
             return bound, x, None, "mccormick"
 
         # AUTO: counters advance every node, solve whatever is due
@@ -347,10 +357,10 @@ class _Engine:
         f_qp = x_qp = shift = kind = None
         f_lp = x_lp = None
         if due_qp:
-            f_qp, x_qp, shift, kind = self._solve_qp(entry, R, self._shift(R))
+            f_qp, x_qp, shift, kind = self._solve_qp(R, self._shift(R))
             since_qp = 0
         if due_lp:
-            f_lp, x_lp = self._solve_lp(entry, R)
+            f_lp, x_lp = self._solve_lp(R)
             since_lp = 0
         if f_qp is not None and f_lp is not None:
             sel = dynamic_selection_update(sel, f_lp, f_qp)
@@ -434,9 +444,9 @@ def _branch_children(problem, config, entry, R, x_rel, shift):
         if spectral_ok and rule != "fractional":
             try:
                 if wanted == "exact":
-                    idx = branching.spectral_branch_exact(R.Qb, free)
+                    idx = branching.spectral_branch_exact(R.Q, free)
                 elif wanted == "gct":
-                    idx = branching.spectral_branch_gct(R.Qb, free)
+                    idx = branching.spectral_branch_gct(R.Q, free)
                 elif shift is not None and shift.alpha > 0:
                     idx = branching.spectral_branch_approx(shift, free)
             except ValueError:
@@ -470,7 +480,7 @@ def _branch_children(problem, config, entry, R, x_rel, shift):
     # continuous: spatial split at the relaxation point
     alpha = shift.alpha if shift is not None else 0.0
     try:
-        dec = branching.spatial_branch(node, x_rel, R.Qb, alpha=alpha)
+        dec = branching.spatial_branch(node, x_rel, R.Q, alpha=alpha)
         t, split = free.index(dec.index), dec.split
     except ValueError:
         # no envelope slack at x_rel (a box vertex, say) says nothing about
@@ -577,7 +587,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             continue
 
         try:
-            bound, x_rel, shift, kind = eng.lower_bound(entry, R)
+            bound, x_rel, shift, kind = eng.lower_bound(R)
         except NodeInfeasible:
             close(entry, None, None, "fathom_infeasible")
             continue

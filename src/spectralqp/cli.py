@@ -108,19 +108,17 @@ def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
     its solve (finite for every QP, and for every LP HiGHS returns
     multipliers for), +inf when it certifies infeasibility, nan when it
     certifies nothing."""
-    node = root_restriction(problem)
-    R = restrict(problem, node)
+    R = restrict(problem, root_restriction(problem))
     method = method.lower()
     try:
         if method in ("eig", "geig", "eigz"):
-            shift = shift_for_mode(method, R.Qb, R.Ab)
-            model = build_spectral_relaxation(problem, node, shift, restricted=R)
+            model = build_spectral_relaxation(R, shift_for_mode(method, R.Q, R.A))
             sol = qpsolve.solve_convex_qp(model)
         elif method == "mccormick":
-            model = build_mccormick_relaxation(problem, node, restricted=R)
+            model = build_mccormick_relaxation(R)
             sol = qpsolve.solve_lp(model)
         elif method == "separable":
-            model = build_separable_relaxation(problem, node, qpsolve.solve_lp, restricted=R)
+            model = build_separable_relaxation(R, qpsolve.solve_lp)
             sol = qpsolve.solve_convex_qp(model)
         else:
             raise ValueError(f"unknown relaxation {method!r}")

@@ -1,7 +1,9 @@
 """Convex relaxations of restricted MIQP nodes.
 
-Three families are provided, all bounding min x'Qx + q'x over a node's
-feasible set from below:
+`restrict` turns a node into its own model, a `ConvexQpModel` of kind
+"node" whose Q (the free block of the problem's Q) is generally
+indefinite.  Each relaxation maps that model to a model that bounds
+min x'Qx + q'x over the node's feasible set from below:
 
 * spectral: shift Q by alpha*I (or alpha*(I + A'A) in the generalized form)
   until convex, compensating on the box via the concave envelope of x^2,
@@ -62,28 +64,55 @@ def root_restriction(problem: ProblemInstance) -> NodeRestriction:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Restricted:
-    """Data of the subproblem over the free variables B after substituting
-    the fixed assignments:
+@dataclass(eq=False)
+class McCormickInfo:
+    pairs: list           # (i, j) local index pairs, i <= j, in column order
+    coeffs: np.ndarray    # objective coefficient per lifted column
+    lb: np.ndarray        # node bounds over the free block
+    ub: np.ndarray
 
-        min  x_B' Qb x_B + qb' x_B + const
-        s.t. Ab x_B = bb,  Cb x_B <= db,  lb <= x_B <= ub.
-    """
 
-    Qb: np.ndarray
-    qb: np.ndarray
-    Ab: np.ndarray
-    bb: np.ndarray
-    Cb: np.ndarray
-    db: np.ndarray
+@dataclass(eq=False)
+class SeparableInfo:
+    V: np.ndarray         # (nb, k) negative eigendirections, the secant ones
+    lam: np.ndarray       # (k,) their eigenvalues
+    L: np.ndarray         # (k,) direction lower bounds
+    U: np.ndarray         # (k,) direction upper bounds
+
+
+@dataclass(eq=False)
+class ConvexQpModel:
+    """min z' Q z + q' z + offset s.t. A z = b, C z <= d, lb <= z <= ub.
+
+    Despite the name, Q may be indefinite: a node model from `restrict`,
+    an eigz model, or a "none"-kind model that is convex only on the
+    nullspace of its equality rows.  Q may be None for a linear program.
+    z is the node's free variables, except in the McCormick LP, which
+    appends one column per product after them (`mccormick.lb` keeps their
+    number)."""
+
+    kind: str
+    Q: np.ndarray | None
+    q: np.ndarray
+    offset: float
+    A: np.ndarray
+    b: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    const: float
+    mccormick: McCormickInfo | None = None
+    separable: SeparableInfo | None = None
+
+    @property
+    def nvar(self) -> int:
+        return self.q.shape[0]
 
 
-def restrict(problem: ProblemInstance, node: NodeRestriction) -> Restricted:
-    """Substitute the node's fixed values and project onto the free block."""
+def restrict(problem: ProblemInstance, node: NodeRestriction) -> ConvexQpModel:
+    """The node's model over its free variables: the fixed values
+    substituted, Q the free block of the problem's Q, the constant they
+    leave in `offset`."""
     B = np.array(node.free, dtype=int)
     F = np.array(sorted(node.fixed), dtype=int)
     xf = np.array([node.fixed[i] for i in F], dtype=float)
@@ -97,16 +126,17 @@ def restrict(problem: ProblemInstance, node: NodeRestriction) -> Restricted:
     else:
         Qb, qb, const = Q, q, 0.0
         bb, db = problem.b, problem.d
-    return Restricted(
-        Qb=np.array(Qb, dtype=float),
-        qb=np.array(qb, dtype=float),
-        Ab=np.array(problem.A[:, B], dtype=float),
-        bb=np.array(bb, dtype=float),
-        Cb=np.array(problem.C[:, B], dtype=float),
-        db=np.array(db, dtype=float),
+    return ConvexQpModel(
+        kind="node",
+        Q=np.array(Qb, dtype=float),
+        q=np.array(qb, dtype=float),
+        offset=const,
+        A=np.array(problem.A[:, B], dtype=float),
+        b=np.array(bb, dtype=float),
+        C=np.array(problem.C[:, B], dtype=float),
+        d=np.array(db, dtype=float),
         lb=np.array(node.lb, dtype=float),
         ub=np.array(node.ub, dtype=float),
-        const=const,
     )
 
 
@@ -212,172 +242,86 @@ def shift_for_mode(
     raise ValueError(f"no spectral shift for mode {mode!r}")
 
 
-def envelope_concave_square(l: float, u: float) -> tuple[float, float]:
-    """Coefficients (slope, offset) of the concave envelope of x^2 on [l, u]:
-    the secant (l + u) x - l u, which dominates x^2 on the interval."""
-    if not l < u:
-        raise ValueError(f"need l < u, got [{l}, {u}]")
-    return (l + u, -l * u)
-
-
-@dataclass(eq=False)
-class McCormickInfo:
-    pairs: list           # (i, j) local index pairs, i <= j, in column order
-    coeffs: np.ndarray    # objective coefficient per lifted column
-    lb: np.ndarray        # node bounds over the free block
-    ub: np.ndarray
-
-
-@dataclass(eq=False)
-class SeparableInfo:
-    V: np.ndarray         # (nb, k) negative eigendirections, the secant ones
-    lam: np.ndarray       # (k,) their eigenvalues
-    L: np.ndarray         # (k,) direction lower bounds
-    U: np.ndarray         # (k,) direction upper bounds
-
-
-@dataclass(eq=False)
-class ConvexQpModel:
-    """min z' Q z + q' z + offset s.t. A z = b, C z <= d, lb <= z <= ub.
-
-    Q may be None for a linear program.  z is the node's free variables,
-    except in the McCormick LP, which appends one column per product after
-    them (`mccormick.lb` keeps their number)."""
-
-    kind: str
-    Q: np.ndarray | None
-    q: np.ndarray
-    offset: float
-    A: np.ndarray
-    b: np.ndarray
-    C: np.ndarray
-    d: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    mccormick: McCormickInfo | None = None
-    separable: SeparableInfo | None = None
-
-    @property
-    def nvar(self) -> int:
-        return self.q.shape[0]
-
-
-def build_spectral_relaxation(
-    problem: ProblemInstance,
-    node: NodeRestriction,
-    shift: SpectralShift,
-    restricted: Restricted | None = None,
-) -> ConvexQpModel:
-    """Assemble the convex QP for a spectral shift.  The generalized (geig)
-    kind keeps its equality-residual quadratic alpha*(x'A'Ax - 2 b'Ax + b'b);
-    every other kind uses the plain diagonal form, where delta influences the
-    model only through alpha.  An eigz shift, or a zero shift on a node that
-    is convex only on its equality nullspace, can leave Q indefinite;
-    qpsolve reads that from Q itself."""
-    R = restricted if restricted is not None else restrict(problem, node)
-    nb = R.Qb.shape[0]
+def build_spectral_relaxation(R: ConvexQpModel, shift: SpectralShift) -> ConvexQpModel:
+    """Map the node model R to the convex QP of a spectral shift.  The
+    generalized (geig) kind keeps its equality-residual quadratic
+    alpha*(x'A'Ax - 2 b'Ax + b'b); every other kind uses the plain diagonal
+    form, where delta influences the model only through alpha.  An eigz
+    shift, or a zero shift on a node that is convex only on its equality
+    nullspace, can leave Q indefinite; qpsolve reads that from Q itself."""
+    nb = R.Q.shape[0]
     a = shift.alpha
     l, u = R.lb, R.ub
-    if shift.kind == KIND_GEIG and R.Ab.size:
-        Qhat = R.Qb + a * (np.eye(nb) + R.Ab.T @ R.Ab)
-        qhat = R.qb - a * (l + u) - 2.0 * a * (R.Ab.T @ R.bb)
-        offset = a * (float(l @ u) + float(R.bb @ R.bb)) + R.const
+    if shift.kind == KIND_GEIG and R.A.size:
+        Qhat = R.Q + a * (np.eye(nb) + R.A.T @ R.A)
+        qhat = R.q - a * (l + u) - 2.0 * a * (R.A.T @ R.b)
+        offset = a * (float(l @ u) + float(R.b @ R.b)) + R.offset
     else:
-        Qhat = R.Qb + a * np.eye(nb)
-        qhat = R.qb - a * (l + u)
-        offset = a * float(l @ u) + R.const
-    return ConvexQpModel(
-        kind=shift.kind,
-        Q=Qhat,
-        q=qhat,
-        offset=offset,
-        A=R.Ab,
-        b=R.bb,
-        C=R.Cb,
-        d=R.db,
-        lb=l.copy(),
-        ub=u.copy(),
-    )
+        Qhat = R.Q + a * np.eye(nb)
+        qhat = R.q - a * (l + u)
+        offset = a * float(l @ u) + R.offset
+    return replace(R, kind=shift.kind, Q=Qhat, q=qhat, offset=offset)
 
 
-def build_mccormick_relaxation(
-    problem: ProblemInstance,
-    node: NodeRestriction,
-    restricted: Restricted | None = None,
-) -> ConvexQpModel:
-    """Lifted McCormick LP: one column X_ij per diagonal entry and per
-    off-diagonal pair with Q_ij != 0, with the four envelope rows
+def build_mccormick_relaxation(R: ConvexQpModel) -> ConvexQpModel:
+    """Map the node model R to its lifted McCormick LP: one column X_ij per
+    diagonal entry and per off-diagonal pair with Q_ij != 0, with the four
+    envelope rows
 
         X_ij >= l_i x_j + l_j x_i - l_i l_j
         X_ij >= u_i x_j + u_j x_i - u_i u_j
         X_ij <= l_i x_j + u_j x_i - l_i u_j
         X_ij <= u_i x_j + l_j x_i - u_i l_j
 
-    written in <= orientation; objective sum c_ij X_ij + q' x + const with
+    written in <= orientation; objective sum c_ij X_ij + q' x + offset with
     c_ii = Q_ii and c_ij = 2 Q_ij for i < j."""
-    R = restricted if restricted is not None else restrict(problem, node)
-    nb = R.Qb.shape[0]
+    nb = R.Q.shape[0]
     l, u = R.lb, R.ub
     iu, ju = np.triu_indices(nb, 1)
-    off = R.Qb[iu, ju] != 0.0
+    off = R.Q[iu, ju] != 0.0
     I = np.concatenate([np.arange(nb), iu[off]])
     J = np.concatenate([np.arange(nb), ju[off]])
     ncol = I.size
     nvar = nb + ncol
-    coeffs = np.where(I == J, 1.0, 2.0) * R.Qb[I, J]
-    q = np.concatenate([R.qb, coeffs])
+    coeffs = np.where(I == J, 1.0, 2.0) * R.Q[I, J]
+    q = np.concatenate([R.q, coeffs])
 
     # rows p + 4t .. p + 4t + 3: the four envelopes of column t in the order
     # above; += leaves the sum of both coefficients where i == j
     li, ui, lj, uj = l[I], u[I], l[J], u[J]
-    p = R.Cb.shape[0]
+    p = R.C.shape[0]
     C = np.zeros((p + 4 * ncol, nvar))
-    C[:p, :nb] = R.Cb
+    C[:p, :nb] = R.C
     env = (p + np.arange(4 * ncol)).reshape(ncol, 4)
     C[env, I[:, None]] += np.stack([lj, uj, -uj, -lj], axis=1)
     C[env, J[:, None]] += np.stack([li, ui, -li, -ui], axis=1)
     C[env, (nb + np.arange(ncol))[:, None]] = [-1.0, -1.0, 1.0, 1.0]
-    d = np.concatenate([R.db, np.stack([li * lj, ui * uj, -li * uj, -ui * lj], axis=1).ravel()])
+    d = np.concatenate([R.d, np.stack([li * lj, ui * uj, -li * uj, -ui * lj], axis=1).ravel()])
     corners = np.stack([li * lj, li * uj, ui * lj, ui * uj])
     xlb = np.concatenate([l, corners.min(axis=0)])
     xub = np.concatenate([u, corners.max(axis=0)])
-    A = np.zeros((R.Ab.shape[0], nvar))
-    A[:, :nb] = R.Ab
+    A = np.zeros((R.A.shape[0], nvar))
+    A[:, :nb] = R.A
     pairs = list(zip(I.tolist(), J.tolist()))
-    return ConvexQpModel(
-        kind="mccormick",
-        Q=None,
-        q=q,
-        offset=R.const,
-        A=A,
-        b=R.bb,
-        C=C,
-        d=d,
-        lb=xlb,
-        ub=xub,
+    return replace(
+        R, kind="mccormick", Q=None, q=q, A=A, C=C, d=d, lb=xlb, ub=xub,
         mccormick=McCormickInfo(pairs=pairs, coeffs=coeffs, lb=l.copy(), ub=u.copy()),
     )
 
 
-def build_separable_relaxation(
-    problem: ProblemInstance,
-    node: NodeRestriction,
-    lp_solve,
-    restricted: Restricted | None = None,
-) -> ConvexQpModel:
-    """Separable relaxation (Pardalos, Glick and Rosen, 1987): with
-    Q = V diag(lambda) V', keep lambda_t (v_t'x)^2 for positive eigenvalues,
-    their sum being the PSD part of Q, and replace each negative one by its
-    secant lambda_t ((L_t + U_t) v_t'x - L_t U_t) over direction bounds
-    [L_t, U_t], which is linear in x; zero eigendirections are dropped.  The
-    result is a convex QP over the node's free variables with the node's own
-    rows and box.  The bounds come from minimizing and maximizing v_t'x over
-    the node's feasible set with `lp_solve` (two LP solves per negative
-    direction, each tightening the interval-arithmetic range by its certified
-    `bound`).  Raises NodeInfeasible when a direction LP certifies
-    emptiness."""
-    R = restricted if restricted is not None else restrict(problem, node)
-    w, V = linalg.sym_eig_all(R.Qb)
+def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel:
+    """Map the node model R to its separable relaxation (Pardalos, Glick
+    and Rosen, 1987): with Q = V diag(lambda) V', keep lambda_t (v_t'x)^2
+    for positive eigenvalues, their sum being the PSD part of Q, and
+    replace each negative one by its secant
+    lambda_t ((L_t + U_t) v_t'x - L_t U_t) over direction bounds
+    [L_t, U_t], which is linear in x; zero eigendirections are dropped.
+    The result is a convex QP with R's rows and box.  The bounds come from
+    minimizing and maximizing v_t'x over R's feasible set with `lp_solve`
+    (two LP solves per negative direction, each tightening the
+    interval-arithmetic range by its certified `bound`).  Raises
+    NodeInfeasible when a direction LP certifies emptiness."""
+    w, V = linalg.sym_eig_all(R.Q)
     pos = w > ZERO_EIG_TOL
     neg = np.where(w < -ZERO_EIG_TOL)[0]
     lam = w[neg]
@@ -391,18 +335,7 @@ def build_separable_relaxation(
         hi_iv = float(np.maximum(v * R.lb, v * R.ub).sum())
         lo, hi = lo_iv, hi_iv
         for sign_, slot in ((1.0, "lo"), (-1.0, "hi")):
-            lp = ConvexQpModel(
-                kind="direction_lp",
-                Q=None,
-                q=sign_ * v,
-                offset=0.0,
-                A=R.Ab,
-                b=R.bb,
-                C=R.Cb,
-                d=R.db,
-                lb=R.lb.copy(),
-                ub=R.ub.copy(),
-                    )
+            lp = replace(R, kind="direction_lp", Q=None, q=sign_ * v, offset=0.0)
             bound = lp_solve(lp).bound
             if bound == math.inf:
                 raise NodeInfeasible("direction bound LP certified an empty node")
@@ -416,17 +349,12 @@ def build_separable_relaxation(
         U[t] = hi + margin
 
     Qhat = (V[:, pos] * w[pos]) @ V[:, pos].T
-    return ConvexQpModel(
+    return replace(
+        R,
         kind="separable",
         Q=0.5 * (Qhat + Qhat.T),
-        q=R.qb + Vn @ (lam * (L + U)),
-        offset=R.const - float(lam @ (L * U)),
-        A=R.Ab,
-        b=R.bb,
-        C=R.Cb,
-        d=R.db,
-        lb=R.lb.copy(),
-        ub=R.ub.copy(),
+        q=R.q + Vn @ (lam * (L + U)),
+        offset=R.offset - float(lam @ (L * U)),
         separable=SeparableInfo(V=Vn, lam=lam, L=L, U=U),
     )
 

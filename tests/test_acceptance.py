@@ -71,15 +71,14 @@ def _equality_instance(rng, n, m):
 
 def _spectral_root_bound(problem, method):
     """Root bound from one spectral relaxation plus its worst KKT residual."""
-    node = root_restriction(problem)
-    R = restrict(problem, node)
+    R = restrict(problem, root_restriction(problem))
     if method == "eig":
-        shift = compute_shift_eig(R.Qb)
+        shift = compute_shift_eig(R.Q)
     elif method == "geig":
-        shift = compute_shift_geig(R.Qb, R.Ab)
+        shift = compute_shift_geig(R.Q, R.A)
     else:
-        shift, _ = compute_shift_eigz_approx(R.Qb, R.Ab)
-    model = build_spectral_relaxation(problem, node, shift, restricted=R)
+        shift, _ = compute_shift_eigz_approx(R.Q, R.A)
+    model = build_spectral_relaxation(R, shift)
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL, f"{method} root relaxation not solved"
     rep = qpsolve.verify_kkt(model, sol, kkt_tol=1e-5)
@@ -373,16 +372,13 @@ def test_criterion_09_underestimation_and_envelope():
             x0 = np.zeros(n)
         else:
             prob, x0 = _equality_instance(rng, n, 1 + inst % 2)
-        node = root_restriction(prob)
-        R = restrict(prob, node)
+        R = restrict(prob, root_restriction(prob))
         models = [
-            build_spectral_relaxation(prob, node, compute_shift_eig(R.Qb), restricted=R),
-            build_spectral_relaxation(prob, node, compute_shift_geig(R.Qb, R.Ab), restricted=R),
-            build_spectral_relaxation(
-                prob, node, compute_shift_eigz_approx(R.Qb, R.Ab)[0], restricted=R
-            ),
-            build_mccormick_relaxation(prob, node, restricted=R),
-            build_separable_relaxation(prob, node, qpsolve.solve_lp),
+            build_spectral_relaxation(R, compute_shift_eig(R.Q)),
+            build_spectral_relaxation(R, compute_shift_geig(R.Q, R.A)),
+            build_spectral_relaxation(R, compute_shift_eigz_approx(R.Q, R.A)[0]),
+            build_mccormick_relaxation(R),
+            build_separable_relaxation(R, qpsolve.solve_lp),
         ]
         for _ in range(5):
             x = _feasible_point(rng, prob, x0)

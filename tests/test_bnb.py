@@ -263,10 +263,10 @@ def _eig_calls_per_bound(monkeypatch, problem, mode):
     per_node = []
     lower_bound = bnb._Engine.lower_bound
 
-    def counted_bound(self, entry, R):
+    def counted_bound(self, R):
         before = dict(counts)
         try:
-            return lower_bound(self, entry, R)
+            return lower_bound(self, R)
         finally:
             per_node.append(tuple(counts[k] - before[k] for k in counts))
 
@@ -616,6 +616,13 @@ def test_config_validation():
         SolverConfig(branch_rule="random")
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=0.0)
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=bad)
+    with pytest.raises(ValueError):
+        SolverConfig(node_limit=-1)
+    for limits in ({"time_limit": 0.0}, {"time_limit": math.inf}, {"node_limit": 0}):
+        SolverConfig(**limits)
 
 
 def test_eigz_records_root_delta():

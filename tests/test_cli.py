@@ -137,6 +137,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     path = write_instance(tmp_path, "inst", **binary_kwargs([[2.0, -3.0], [-3.0, 2.0]]))
     assert main(["solve", str(path), "--seed", "1"]) == 1
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    # NaN passes every deadline test, so each relaxation solve would stop at once
+    assert main(["solve", str(path), "--time-limit", "nan"]) == 1
+    assert "time_limit must be nonnegative" in capsys.readouterr().err
 
 
 def test_solve_writes_trace(tmp_path, capsys):

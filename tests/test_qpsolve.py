@@ -270,10 +270,10 @@ def test_lp_bogus_infeasibility_certifies_nothing(monkeypatch):
 
 
 def test_lp_past_deadline_stops_with_a_valid_bound():
-    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
 
     prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=20, k=5, seed=0))
-    model = build_mccormick_relaxation(prob, root_restriction(prob))
+    model = build_mccormick_relaxation(restrict(prob, root_restriction(prob)))
     ref = qpsolve.solve_lp(model)
     assert ref.status == qpsolve.STATUS_OPTIMAL and ref.iterations > 0
     sol = qpsolve.solve_lp(model, deadline=time.monotonic() - 1.0)
@@ -286,7 +286,7 @@ def _small_lps(family, n, seed, shrink):
     """The root McCormick LP and the direction LPs of a small generated
     instance, its box shrunk toward a random point by `shrink`."""
     from spectralqp.relaxation import (
-        NodeRestriction, build_mccormick_relaxation, build_separable_relaxation,
+        NodeRestriction, build_mccormick_relaxation, build_separable_relaxation, restrict,
     )
 
     kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": 1} if family == "eiqp" else {}
@@ -299,14 +299,15 @@ def _small_lps(family, n, seed, shrink):
         lb=prob.lb + shrink * (mid - prob.lb),
         ub=prob.ub - shrink * (prob.ub - mid),
     )
-    models = [build_mccormick_relaxation(prob, node)]
+    R = restrict(prob, node)
+    models = [build_mccormick_relaxation(R)]
 
     def record(lp):
         models.append(lp)
         return qpsolve.solve_lp(lp)
 
     try:
-        build_separable_relaxation(prob, node, record)
+        build_separable_relaxation(R, record)
     except NodeInfeasible:
         pass
     return models
@@ -591,7 +592,7 @@ def _root_qp(family, n, seed, mode, **kw):
     prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
     node = root_restriction(prob)
     R = restrict(prob, node)
-    return build_spectral_relaxation(prob, node, shift_for_mode(mode, R.Qb, R.Ab), restricted=R)
+    return build_spectral_relaxation(R, shift_for_mode(mode, R.Q, R.A))
 
 
 def test_truncated_solve_of_a_singular_qp_bounds_the_optimum():
@@ -622,7 +623,7 @@ def test_separable_root_qp_converges():
     )
     node = root_restriction(prob)
     R = restrict(prob, node)
-    model = build_spectral_relaxation(prob, node, compute_shift_eig(R.Qb), restricted=R)
+    model = build_spectral_relaxation(R, compute_shift_eig(R.Q))
     assert model.C.shape[0] == 2
     assert np.linalg.eigvalsh(model.Q)[0] <= 1e-9 * np.abs(model.Q).max()
     sol = qpsolve.solve_convex_qp(model)
@@ -631,7 +632,7 @@ def test_separable_root_qp_converges():
 
     # the separable model lives over the node's own variables
     prob = problem.generate_random(problem.GeneratorSpec(family="eiqp", n=6, m=1, seed=209))
-    model = build_separable_relaxation(prob, root_restriction(prob), qpsolve.solve_lp)
+    model = build_separable_relaxation(restrict(prob, root_restriction(prob)), qpsolve.solve_lp)
     assert model.nvar == 6
     assert qpsolve.solve_convex_qp(model).status == qpsolve.STATUS_OPTIMAL
 
@@ -699,11 +700,11 @@ def _model_optimum(model):
     st.integers(0, 10_000),
 )
 def test_bound_never_exceeds_the_model_optimum(family, n, seed):
-    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
 
     kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": 1} if family == "eiqp" else {}
     prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
-    lp = build_mccormick_relaxation(prob, root_restriction(prob))
+    lp = build_mccormick_relaxation(restrict(prob, root_restriction(prob)))
     models = [_root_qp(family, n, seed, mode, **kw) for mode in ("eig", "geig", "eigz")]
     for model in models + [lp]:
         best = _model_optimum(model)
@@ -745,7 +746,7 @@ def test_slope_certifies_every_better_point(family, n, seed):
     # every feasible x', for root QPs (eigz ones mostly on the reduced path),
     # truncated or not, and McCormick LPs; tightened_box keeps every point
     # whose objective is below the cutoff
-    from spectralqp.relaxation import build_mccormick_relaxation, root_restriction
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
 
     kw = (
         {"k": max(1, n // 3)} if family == "cbqp"
@@ -762,7 +763,8 @@ def test_slope_certifies_every_better_point(family, n, seed):
         for mode in ("eig", "geig", "eigz")
         for max_iter in (10, 50, qpsolve.DEFAULT_MAX_ITER)
     ]
-    sols.append(qpsolve.solve_lp(build_mccormick_relaxation(prob, root_restriction(prob))))
+    R = restrict(prob, root_restriction(prob))
+    sols.append(qpsolve.solve_lp(build_mccormick_relaxation(R)))
     for sol in sols:
         assert sol.status != qpsolve.STATUS_INFEASIBLE
         assert (sol.slope is not None) == math.isfinite(sol.bound)
@@ -814,11 +816,11 @@ def _node_qps(family, n, seed, shrink, m):
     )
     R = restrict(prob, node)
     models = [
-        build_spectral_relaxation(prob, node, shift_for_mode(mode, R.Qb, R.Ab), restricted=R)
+        build_spectral_relaxation(R, shift_for_mode(mode, R.Q, R.A))
         for mode in ("eig", "geig", "eigz")
     ]
     try:
-        models.append(build_separable_relaxation(prob, node, qpsolve.solve_lp, restricted=R))
+        models.append(build_separable_relaxation(R, qpsolve.solve_lp))
     except NodeInfeasible:
         pass
     return models

@@ -27,7 +27,6 @@ from spectralqp.relaxation import (
     compute_shift_eigz_approx,
     compute_shift_eigz_exact,
     compute_shift_geig,
-    envelope_concave_square,
     relaxed_objective_at,
     restrict,
     root_restriction,
@@ -63,25 +62,27 @@ def rand_sym(rng, n, scale=5.0):
 def test_restrict_root_is_identity():
     prob = worked_instance()
     R = restrict(prob, root_restriction(prob))
-    assert np.array_equal(R.Qb, prob.Q)
-    assert np.array_equal(R.qb, prob.q)
-    assert np.array_equal(R.Ab, prob.A)
-    assert np.array_equal(R.bb, prob.b)
-    assert R.const == 0.0
+    assert R.kind == "node"
+    assert np.array_equal(R.Q, prob.Q)
+    assert np.array_equal(R.q, prob.q)
+    assert np.array_equal(R.A, prob.A)
+    assert np.array_equal(R.b, prob.b)
+    assert np.array_equal(R.C, prob.C) and np.array_equal(R.d, prob.d)
+    assert R.offset == 0.0
 
 
 def test_restrict_fixed_value_worked():
-    # Q = [[2,-3],[-3,2]], fix x2 = 1: Qb = [2], qb = q1 + 2*Q12 = -6, const = 2
+    # Q = [[2,-3],[-3,2]], fix x2 = 1: Q = [2], q = q1 + 2*Q12 = -6, offset = 2
     prob = box_problem([[2.0, -3.0], [-3.0, 2.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     node = NodeRestriction(free=(0,), fixed={1: 1.0}, lb=np.array([0.0]), ub=np.array([1.0]))
     R = restrict(prob, node)
-    assert R.Qb.shape == (1, 1) and R.Qb[0, 0] == 2.0
-    assert R.qb[0] == -6.0
-    assert R.const == 2.0
-    # restricted objective must agree with the full one on the fixed slice
+    assert R.Q.shape == (1, 1) and R.Q[0, 0] == 2.0
+    assert R.q[0] == -6.0
+    assert R.offset == 2.0
+    # the node model's objective must agree with the full one on the fixed slice
     for t in np.linspace(0, 1, 7):
         full = problem.evaluate_objective(prob, [t, 1.0])
-        assert float(t * R.Qb[0, 0] * t + R.qb[0] * t) + R.const == pytest.approx(full)
+        assert relaxed_objective_at(R, [t]) == pytest.approx(full)
 
 
 def test_restrict_updates_rows():
@@ -99,11 +100,11 @@ def test_restrict_updates_rows():
         free=(0, 2), fixed={1: 0.25}, lb=np.zeros(2), ub=np.ones(2)
     )
     R = restrict(prob, node)
-    assert np.allclose(R.Ab, [[1.0, 1.0]])
-    assert np.allclose(R.bb, [0.75])
-    assert np.allclose(R.Cb, [[0.0, 2.0]])
-    assert np.allclose(R.db, [1.75])
-    assert R.const == pytest.approx(0.0625)
+    assert np.allclose(R.A, [[1.0, 1.0]])
+    assert np.allclose(R.b, [0.75])
+    assert np.allclose(R.C, [[0.0, 2.0]])
+    assert np.allclose(R.d, [1.75])
+    assert R.offset == pytest.approx(0.0625)
 
 
 # --------------------------------------------------------------------- shifts
@@ -149,9 +150,9 @@ def test_shift_eigz_exact_full_row_rank_square():
 def test_shift_ordering_worked():
     prob = worked_instance()
     R = restrict(prob, root_restriction(prob))
-    a_e = compute_shift_eig(R.Qb).alpha
-    a_g = compute_shift_geig(R.Qb, R.Ab).alpha
-    a_z = compute_shift_eigz_exact(R.Qb, R.Ab).alpha
+    a_e = compute_shift_eig(R.Q).alpha
+    a_g = compute_shift_geig(R.Q, R.A).alpha
+    a_z = compute_shift_eigz_exact(R.Q, R.A).alpha
     assert (a_z, a_g, a_e) == pytest.approx((0.0, 0.5, 1.0))
     assert a_z <= a_g <= a_e
 
@@ -254,7 +255,7 @@ def test_alpha_delta_never_increases():
 def test_eig_model_worked_bound():
     prob = worked_instance()
     node = root_restriction(prob)
-    model = build_spectral_relaxation(prob, node, compute_shift_eig(prob.Q))
+    model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
     assert np.allclose(model.Q, np.diag([2.0, 0.0]))
     assert np.allclose(model.q, np.zeros(2))
     assert model.offset == pytest.approx(-2.0)
@@ -268,9 +269,7 @@ def test_geig_model_worked_bound():
     prob = worked_instance()
     node = root_restriction(prob)
     R = restrict(prob, node)
-    model = build_spectral_relaxation(
-        prob, node, compute_shift_geig(R.Qb, R.Ab), restricted=R
-    )
+    model = build_spectral_relaxation(R, compute_shift_geig(R.Q, R.A))
     assert np.allclose(model.Q, np.diag([1.5, 0.0]))
     assert np.allclose(model.q, np.zeros(2))
     assert model.offset == pytest.approx(-1.0)
@@ -283,9 +282,7 @@ def test_eigz_model_worked_bound():
     prob = worked_instance()
     node = root_restriction(prob)
     R = restrict(prob, node)
-    model = build_spectral_relaxation(
-        prob, node, compute_shift_eigz_exact(R.Qb, R.Ab), restricted=R
-    )
+    model = build_spectral_relaxation(R, compute_shift_eigz_exact(R.Q, R.A))
     # zero shift keeps Q indefinite, so the model is only nullspace convex
     assert np.allclose(model.Q, prob.Q)
     assert np.linalg.eigvalsh(model.Q)[0] < -qpsolve.PSD_SLACK
@@ -300,8 +297,8 @@ def test_delta_model_worked_bound():
     prob = worked_instance()
     node = root_restriction(prob)
     R = restrict(prob, node)
-    shift, _ = compute_shift_eigz_approx(R.Qb, R.Ab)
-    model = build_spectral_relaxation(prob, node, shift, restricted=R)
+    shift, _ = compute_shift_eigz_approx(R.Q, R.A)
+    model = build_spectral_relaxation(R, shift)
     # diagonal form only: delta enters through alpha, never through A'A
     assert np.allclose(model.Q, prob.Q + shift.alpha * np.eye(2))
     sol = qpsolve.solve_convex_qp(model)
@@ -316,11 +313,11 @@ def test_bound_ordering_worked():
     R = restrict(prob, node)
     vals = []
     for shift in (
-        compute_shift_eig(R.Qb),
-        compute_shift_geig(R.Qb, R.Ab),
-        compute_shift_eigz_exact(R.Qb, R.Ab),
+        compute_shift_eig(R.Q),
+        compute_shift_geig(R.Q, R.A),
+        compute_shift_eigz_exact(R.Q, R.A),
     ):
-        model = build_spectral_relaxation(prob, node, shift, restricted=R)
+        model = build_spectral_relaxation(R, shift)
         vals.append(qpsolve.solve_convex_qp(model).objective)
     assert vals == pytest.approx([-2.0, -1.0, 0.0], abs=1e-7)
     assert vals[0] <= vals[1] + 1e-9 <= vals[2] + 2e-9
@@ -330,7 +327,7 @@ def test_eig_bound_bilinear_quarter():
     # min 2 x1 x2 on [0,1]^2: eig relaxation value is -1/4
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     node = root_restriction(prob)
-    model = build_spectral_relaxation(prob, node, compute_shift_eig(prob.Q))
+    model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-0.25, abs=1e-7)
@@ -341,9 +338,9 @@ def test_child_node_model_convex_restriction():
     prob = box_problem([[2.0, -3.0], [-3.0, 2.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     node = NodeRestriction(free=(0,), fixed={1: 1.0}, lb=np.array([0.0]), ub=np.array([1.0]))
     R = restrict(prob, node)
-    shift = compute_shift_eig(R.Qb)
+    shift = compute_shift_eig(R.Q)
     assert shift.alpha == 0.0
-    model = build_spectral_relaxation(prob, node, shift, restricted=R)
+    model = build_spectral_relaxation(R, shift)
     assert model.offset == pytest.approx(2.0)
     sol = qpsolve.solve_convex_qp(model)
     # min 2t^2 - 6t + 2 on [0,1] is -2 at t = 1
@@ -355,7 +352,7 @@ def test_none_kind_keeps_data():
     prob = box_problem(np.eye(2), q=[1.0, -1.0])
     node = root_restriction(prob)
     shift = SpectralShift(KIND_NONE, 0.0, 1.0, np.zeros(2))
-    model = build_spectral_relaxation(prob, node, shift)
+    model = build_spectral_relaxation(restrict(prob, node), shift)
     assert np.allclose(model.Q, prob.Q)
     assert np.allclose(model.q, prob.q)
     assert model.offset == 0.0
@@ -367,7 +364,7 @@ def test_spectral_underestimates_on_box():
         n = int(rng.integers(2, 6))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
         node = root_restriction(prob)
-        model = build_spectral_relaxation(prob, node, compute_shift_eig(prob.Q))
+        model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
         for _ in range(20):
             x = rng.uniform(prob.lb, prob.ub)
             assert relaxed_objective_at(model, x) <= problem.evaluate_objective(
@@ -383,7 +380,7 @@ def test_spectral_alpha_bb_identity():
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
         node = root_restriction(prob)
         shift = compute_shift_eig(prob.Q)
-        model = build_spectral_relaxation(prob, node, shift)
+        model = build_spectral_relaxation(restrict(prob, node), shift)
         for _ in range(10):
             x = rng.uniform(prob.lb - 0.5, prob.ub + 0.5)
             expect = problem.evaluate_objective(prob, x) - shift.alpha * float(
@@ -399,7 +396,7 @@ def test_spectral_exact_at_binary_points():
         n = int(rng.integers(2, 5))
         prob = box_problem(rand_sym(rng, n), lb=np.zeros(n), ub=np.ones(n))
         node = root_restriction(prob)
-        model = build_spectral_relaxation(prob, node, compute_shift_eig(prob.Q))
+        model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
         for _ in range(8):
             x = rng.integers(0, 2, n).astype(float)
             assert relaxed_objective_at(model, x) == pytest.approx(
@@ -416,9 +413,7 @@ def test_geig_underestimates_on_manifold():
         prob = box_problem(Q, A=A, b=[0.0])
         node = root_restriction(prob)
         R = restrict(prob, node)
-        model = build_spectral_relaxation(
-            prob, node, compute_shift_geig(R.Qb, R.Ab), restricted=R
-        )
+        model = build_spectral_relaxation(R, compute_shift_geig(R.Q, R.A))
         Z = linalg.nullspace_basis(A)
         for _ in range(20):
             x = Z @ rng.uniform(-0.3, 0.3, Z.shape[1])
@@ -430,30 +425,13 @@ def test_geig_underestimates_on_manifold():
             ) + 1e-9
 
 
-# -------------------------------------------------------------------- secants
-
-
-def test_envelope_secant_dominates_square():
-    slope, off = envelope_concave_square(-1.0, 3.0)
-    assert (slope, off) == (2.0, 3.0)
-    for x in np.linspace(-1.0, 3.0, 33):
-        assert slope * x + off >= x * x - 1e-12
-    assert slope * (-1.0) + off == pytest.approx(1.0)
-    assert slope * 3.0 + off == pytest.approx(9.0)
-
-
-def test_envelope_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        envelope_concave_square(1.0, 1.0)
-
-
 # ------------------------------------------------------------------ McCormick
 
 
 def test_mccormick_bilinear_structure_and_bound():
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     node = root_restriction(prob)
-    model = build_mccormick_relaxation(prob, node)
+    model = build_mccormick_relaxation(restrict(prob, node))
     info = model.mccormick
     assert info.pairs == [(0, 0), (1, 1), (0, 1)]
     assert np.allclose(info.coeffs, [0.0, 0.0, 2.0])
@@ -467,7 +445,7 @@ def test_mccormick_bilinear_structure_and_bound():
 def test_mccormick_negative_square_bound():
     prob = box_problem([[-1.0]], lb=[0.0], ub=[1.0])
     node = root_restriction(prob)
-    model = build_mccormick_relaxation(prob, node)
+    model = build_mccormick_relaxation(restrict(prob, node))
     sol = qpsolve.solve_lp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-1.0, abs=1e-7)
@@ -479,7 +457,7 @@ def test_mccormick_negative_square_bound():
 def test_mccormick_skips_zero_offdiagonals():
     prob = box_problem(np.diag([1.0, -2.0, 3.0]))
     node = root_restriction(prob)
-    model = build_mccormick_relaxation(prob, node)
+    model = build_mccormick_relaxation(restrict(prob, node))
     assert model.mccormick.pairs == [(0, 0), (1, 1), (2, 2)]
 
 
@@ -489,7 +467,7 @@ def test_mccormick_underestimates():
         n = int(rng.integers(2, 5))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
         node = root_restriction(prob)
-        model = build_mccormick_relaxation(prob, node)
+        model = build_mccormick_relaxation(restrict(prob, node))
         for _ in range(20):
             x = rng.uniform(prob.lb, prob.ub)
             assert relaxed_objective_at(model, x) <= problem.evaluate_objective(
@@ -508,7 +486,7 @@ def test_mccormick_keeps_problem_rows():
         ub=[1.0, 1.0],
     )
     node = root_restriction(prob)
-    model = build_mccormick_relaxation(prob, node)
+    model = build_mccormick_relaxation(restrict(prob, node))
     assert model.A.shape == (1, model.nvar)
     assert np.allclose(model.A[0, : 2], [1.0, 1.0])
     assert np.allclose(model.A[0, 2:], 0.0)
@@ -521,7 +499,7 @@ def test_mccormick_keeps_problem_rows():
 def test_separable_bilinear_half():
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     node = root_restriction(prob)
-    model = build_separable_relaxation(prob, node, qpsolve.solve_lp)
+    model = build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
     info = model.separable
     assert np.allclose(info.lam, [-1.0], atol=1e-12)
     r = 1.0 / np.sqrt(2.0)
@@ -543,7 +521,7 @@ def test_separable_drops_zero_eigendirections():
         lps.append(lp)
         return qpsolve.solve_lp(lp)
 
-    model = build_separable_relaxation(prob, node, record)
+    model = build_separable_relaxation(restrict(prob, node), record)
     assert lps == []
     assert model.separable.lam.shape == (0,)
     assert np.allclose(model.Q, prob.Q, atol=1e-12)
@@ -565,14 +543,14 @@ def test_separable_objective_is_the_secant_formula():
         free=(0, 1, 3), fixed={2: 0.5}, lb=np.zeros(3), ub=np.ones(3)
     )
     R = restrict(prob, node)
-    model = build_separable_relaxation(prob, node, qpsolve.solve_lp, restricted=R)
+    model = build_separable_relaxation(R, qpsolve.solve_lp)
     info = model.separable
     assert model.nvar == 3 and model.A.shape == (1, 3)
-    assert R.const != 0.0 and info.lam.size >= 1
-    w, V = np.linalg.eigh(R.Qb)
+    assert R.offset != 0.0 and info.lam.size >= 1
+    w, V = np.linalg.eigh(R.Q)
     for _ in range(20):
         x = rng.uniform(R.lb, R.ub)
-        ref = float(R.qb @ x) + R.const
+        ref = float(R.q @ x) + R.offset
         ref += sum(wt * float(V[:, t] @ x) ** 2 for t, wt in enumerate(w) if wt > 0)
         y = info.V.T @ x
         ref += float(np.sum(info.lam * ((info.L + info.U) * y - info.L * info.U)))
@@ -585,7 +563,7 @@ def test_separable_underestimates():
         n = int(rng.integers(2, 5))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
         node = root_restriction(prob)
-        model = build_separable_relaxation(prob, node, qpsolve.solve_lp)
+        model = build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
         for _ in range(20):
             x = rng.uniform(prob.lb, prob.ub)
             assert relaxed_objective_at(model, x) <= problem.evaluate_objective(
@@ -599,7 +577,7 @@ def test_separable_infeasible_node_raises():
     )
     node = root_restriction(prob)
     with pytest.raises(NodeInfeasible):
-        build_separable_relaxation(prob, node, qpsolve.solve_lp)
+        build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
 
 
 def test_separable_tighter_than_interval_arithmetic():
@@ -612,7 +590,7 @@ def test_separable_tighter_than_interval_arithmetic():
         ub=[1.0, 1.0],
     )
     node = root_restriction(prob)
-    model = build_separable_relaxation(prob, node, qpsolve.solve_lp)
+    model = build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
     info = model.separable
     # direction (1,-1)/sqrt(2): over x1 = 0.25, range is [(0.25-1), 0.25]/sqrt(2)
     r = 1.0 / np.sqrt(2.0)
@@ -633,14 +611,14 @@ def test_separable_direction_bounds_come_from_certified_bound():
         sol = qpsolve.solve_lp(lp)
         return dataclasses.replace(sol, status=qpsolve.STATUS_MAXITER, x=None)
 
-    info = build_separable_relaxation(prob, node, truncated).separable
+    info = build_separable_relaxation(restrict(prob, node), truncated).separable
     assert info.L[0] == pytest.approx(-0.75 * r, abs=1e-6)
     assert info.U[0] == pytest.approx(0.25 * r, abs=1e-6)
 
     def uncertified(lp):
         return dataclasses.replace(qpsolve.solve_lp(lp), bound=-math.inf)
 
-    info = build_separable_relaxation(prob, node, uncertified).separable
+    info = build_separable_relaxation(restrict(prob, node), uncertified).separable
     assert info.L[0] == pytest.approx(-r, abs=1e-6)
     assert info.U[0] == pytest.approx(r, abs=1e-6)
 
@@ -669,5 +647,5 @@ def test_eig_shift_makes_model_convex(n, seed):
     rng = np.random.default_rng(seed)
     prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
     node = root_restriction(prob)
-    model = build_spectral_relaxation(prob, node, compute_shift_eig(prob.Q))
+    model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
     assert linalg.sym_eig_min(model.Q).value >= -1e-8
