@@ -108,9 +108,10 @@ class SolverConfig:
             raise ValueError(f"unknown relaxation mode {self.relaxation!r}")
         if self.branch_rule not in RULES:
             raise ValueError(f"unknown branch rule {self.branch_rule!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        # `not > 0` and `not >= 0` also reject NaN: a NaN tolerance fathoms
+        # no node, and a NaN time limit passes every deadline test
+        if not self.rel_tol > 0 or not self.abs_tol > 0:
             raise ValueError("tolerances must be positive")
-        # `not >= 0` also rejects NaN, which every deadline test reads as passed
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError(f"time_limit must be nonnegative, got {self.time_limit!r}")
         if self.node_limit is not None and self.node_limit < 0:

@@ -15,6 +15,7 @@ import scipy.linalg
 
 EIG_TOL = 1e-10        # residual guarantee for eigenpairs
 RANK_TOL = 1e-10       # relative rank threshold for nullspace bases
+SYM_TOL = 1e-8         # relative asymmetry check_symmetric accepts
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -27,7 +28,7 @@ class EigenPair:
     vector: np.ndarray   # unit 2-norm, first nonzero component positive
 
 
-def check_symmetric(M, tol: float = 1e-8, what: str = "matrix") -> np.ndarray:
+def check_symmetric(M, what: str = "matrix") -> np.ndarray:
     """Validate a square symmetric array and return it as float64, exactly
     symmetrized to protect downstream factorizations from roundoff drift."""
     M = np.asarray(M, dtype=float)
@@ -38,7 +39,7 @@ def check_symmetric(M, tol: float = 1e-8, what: str = "matrix") -> np.ndarray:
     if M.shape[0] > 1:
         dev = float(np.max(np.abs(M - M.T)))
         scale = 1.0 + float(np.max(np.abs(M)))
-        if dev > tol * scale:
+        if dev > SYM_TOL * scale:
             raise ValueError(f"{what} is not symmetric (max deviation {dev:.3e})")
     return 0.5 * (M + M.T)
 
@@ -85,7 +86,7 @@ def gen_eig_min(M, N) -> EigenPair:
     return EigenPair(float(w[0]), _fix_sign(v / np.linalg.norm(v)))
 
 
-def nullspace_basis(A, rank_tol: float = RANK_TOL) -> np.ndarray:
+def nullspace_basis(A) -> np.ndarray:
     """Orthonormal basis Z (columns) of the nullspace of A, from a
     column-pivoted orthogonal factorization of A'.  Rank is counted by
     diagonal magnitudes of the triangular factor relative to the largest;
@@ -101,7 +102,7 @@ def nullspace_basis(A, rank_tol: float = RANK_TOL) -> np.ndarray:
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(diag > rank_tol * diag[0]))
+        rank = int(np.sum(diag > RANK_TOL * diag[0]))
     Z = Qf[:, rank:]
     Z = np.column_stack([_fix_sign(Z[:, k].copy()) for k in range(Z.shape[1])]) if Z.shape[1] else Z.reshape(n, 0)
     return Z

@@ -34,8 +34,10 @@ residual.
 A solution holds the status, x, objective, multipliers and iteration count
 (active-set or simplex iterations), its one certified lower bound on the
 model optimum, `bound`, and for an optimal solve the scaled residuals of
-verify_kkt, `kkt`, its only residual record.  Callers read `bound` rather
-than the status.  Both engines set it by one formula, _bound: the rows
+verify_kkt, `kkt`, its only residual record.  Both engines hand their point
+and multipliers to one post-solve pass, _solution, which sets the objective,
+the bound and, for an optimal solve, the KKT report.  Callers read `bound`
+rather than the status.  It comes from one formula, _bound: the rows
 dualized at the returned multipliers, the box kept primal, and the
 Lagrangian linearized at the returned point, so it holds for a truncated
 solve and a KKT-failed one alike; with Q absent it is the weak-duality value
@@ -67,7 +69,7 @@ STATUS_MAXITER = "max_iter"
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1_000    # active-set iterations; node QPs take a few dozen at most
-DEFAULT_KKT_TOL = 1e-6
+KKT_TOL = 1e-6         # pass threshold of verify_kkt's scaled residuals
 BOUND_GUARD = 1e-9     # relative rounding guard of _bound
 PSD_SLACK = 1e-8       # lambda_min(Q) below -PSD_SLACK: certify on the rows' nullspace
 
@@ -354,19 +356,16 @@ def _objective(model: ConvexQpModel, x: np.ndarray) -> float:
     return val
 
 
-def _row_lagrangian(model: ConvexQpModel, nu, mu):
-    """(lin, base) with q'x + nu'(Ax - b) + mu'(Cx - d) + offset = lin'x + base."""
+def _row_lagrangian(model: ConvexQpModel, nu, mu) -> np.ndarray:
+    """q + A'nu + C'mu, the gradient of q'x + nu'(Ax - b) + mu'(Cx - d): the
+    part of the Lagrangian gradient that _bound, verify_kkt and the reduced
+    path's multiplier refit share."""
     lin = model.q.copy()
     if model.A.shape[0]:
         lin += model.A.T @ nu
     if model.C.shape[0]:
         lin += model.C.T @ mu
-    base = model.offset
-    if model.A.shape[0]:
-        base -= float(nu @ model.b)
-    if model.C.shape[0]:
-        base -= float(mu @ model.d)
-    return lin, base
+    return lin
 
 
 def _box_min(model: ConvexQpModel, lin) -> np.ndarray:
@@ -391,7 +390,8 @@ def _bound(model: ConvexQpModel, x, nu, mu, curvature: float, reduced: bool):
     subtracted too.  Q is left out when x is None, which only solve_lp
     passes, for a model whose Q is absent or zero."""
     mu = np.maximum(mu, 0.0)
-    lin, base = _row_lagrangian(model, nu, mu)
+    lin = _row_lagrangian(model, nu, mu)
+    base = model.offset - float(nu @ model.b) - float(mu @ model.d)
     quad = reach = 0.0
     if model.Q is not None and x is not None:
         Qx = model.Q @ x
@@ -432,30 +432,20 @@ def _infeasible(model: ConvexQpModel) -> QpSolution:
     )
 
 
-def _lagrangian_grad(model: ConvexQpModel, x, nu, mu, pi_l, pi_u) -> np.ndarray:
-    """2Qx + q + A'nu + C'mu - pi_l + pi_u, leaving out A'nu when nu is None."""
-    grad = model.q.copy()
-    if model.Q is not None:
-        grad = grad + 2.0 * (model.Q @ x)
-    if nu is not None and model.A.shape[0]:
-        grad = grad + model.A.T @ nu
-    if model.C.shape[0]:
-        grad = grad + model.C.T @ mu
-    return grad - pi_l + pi_u
-
-
 def _solution(model: ConvexQpModel, status, x, nu, mu, z, iterations, curvature=0.0) -> QpSolution:
     """The solution at x (None when the solver has no point; the objective
     is then nan), its bound +inf when `status` is infeasible, else _bound at
-    x with its slope.  `mu` holds the inequality multipliers and `z` the box
-    ones (pi_u = max(z, 0), pi_l = max(-z, 0)); `nu` holds the equality
+    x with its slope, and for an optimal `status` its verify_kkt report.
+    `mu` holds the inequality multipliers and `z` the box ones
+    (pi_u = max(z, 0), pi_l = max(-z, 0)); `nu` holds the equality
     multipliers, or is None to fit them by least squares on the stationarity
     residual, which only the reduced path asks for: its x then certifies
     with curvature lambda_min(Z'QZ)."""
     mu, pi_l, pi_u = np.maximum(mu, 0.0), np.maximum(-z, 0.0), np.maximum(z, 0.0)
     reduced = nu is None
     if reduced:
-        grad = _lagrangian_grad(model, x, None, mu, pi_l, pi_u)
+        grad = _row_lagrangian(model, np.zeros(model.A.shape[0]), mu) + 2.0 * (model.Q @ x)
+        grad = grad - pi_l + pi_u
         nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
     objective = _objective(model, x) if x is not None else math.nan
     bound, slope = math.inf, None
@@ -463,7 +453,10 @@ def _solution(model: ConvexQpModel, status, x, nu, mu, z, iterations, curvature=
         bound, slope = _bound(model, x, nu, mu, curvature, reduced)
         if not math.isfinite(bound):
             slope = None
-    return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound, slope=slope)
+    sol = QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound, slope=slope)
+    if status == STATUS_OPTIMAL:
+        sol.kkt = verify_kkt(model, sol)
+    return sol
 
 
 def solve_convex_qp(
@@ -503,10 +496,8 @@ def solve_convex_qp(
         Z = linalg.nullspace_basis(model.A)
         curvature = float(np.linalg.eigvalsh(Z.T @ model.Q @ Z)[0]) if Z.shape[1] else 0.0
         nu = None
-    sol = _solution(model, status, x, nu, mu, z, it, curvature)
-    if status == STATUS_OPTIMAL:
-        sol.kkt = verify_kkt(model, sol)
-    return sol
+    return _solution(model, status, x, nu, mu, z, it, curvature)
+
 
 def _load_highs():
     """HiGHS's compiled extension as shipped inside scipy, loaded by itself:
@@ -609,8 +600,6 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
         -col_dual,
         iterations,
     )
-    if optimal:
-        sol.kkt = verify_kkt(model, sol)
     if not has_duals or status == hc.HighsModelStatus.kInfeasible:
         sol.bound, sol.slope = -math.inf, None      # no multipliers to certify with
     return sol
@@ -638,49 +627,44 @@ def tightened_box(sol: QpSolution, lb, ub, cutoff: float):
     )
 
 
-def verify_kkt(
-    model: ConvexQpModel,
-    solution: QpSolution,
-    kkt_tol: float = DEFAULT_KKT_TOL,
-) -> KktReport:
+def verify_kkt(model: ConvexQpModel, solution: QpSolution) -> KktReport:
     """First-order optimality check of a candidate solution: stationarity
     2Qx + q + A'nu + C'mu - pi_l + pi_u = 0, primal feasibility,
     complementary slackness and multiplier nonnegativity.  Residuals are
-    scaled by the largest magnitude among data, point and multipliers."""
+    scaled by the largest magnitude among data, point and multipliers, and
+    pass at KKT_TOL."""
     x = solution.x
     if x is None:
         return KktReport(math.inf, math.inf, math.inf, math.inf, False)
     nu, mu, pi_l, pi_u = solution.nu, solution.mu, solution.pi_l, solution.pi_u
-    grad = _lagrangian_grad(model, x, nu, mu, pi_l, pi_u)
-    stationarity = float(np.abs(grad).max(initial=0.0))
+    grad = _row_lagrangian(model, nu, mu)
+    if model.Q is not None:
+        grad = grad + 2.0 * (model.Q @ x)
+    stationarity = float(np.abs(grad - pi_l + pi_u).max(initial=0.0))
 
     primal = max(
         float(np.abs(model.A @ x - model.b).max(initial=0.0)) if model.A.shape[0] else 0.0,
-        float((model.C @ x - model.d).max(initial=0.0)) if model.C.shape[0] else 0.0,
         float((model.lb - x).max(initial=0.0)),
         float((x - model.ub).max(initial=0.0)),
-        0.0,
     )
-
-    comp = 0.0
-    if model.C.shape[0]:
-        comp = float(np.abs(mu * (model.d - model.C @ x)).max(initial=0.0))
     comp = max(
-        comp,
         float(np.abs(pi_l * (x - model.lb)).max(initial=0.0)),
         float(np.abs(pi_u * (model.ub - x)).max(initial=0.0)),
     )
+    if model.C.shape[0]:
+        slack = model.d - model.C @ x
+        primal = max(primal, float((-slack).max()))
+        comp = max(comp, float(np.abs(mu * slack).max()))
 
     dual_viol = max(
         float((-mu).max(initial=0.0)),
         float((-pi_l).max(initial=0.0)),
         float((-pi_u).max(initial=0.0)),
-        0.0,
     )
 
     data = (model.q, model.A, model.b, model.C, model.d, model.lb, model.ub,
-            x, nu, mu, pi_l, pi_u, 0.0 if model.Q is None else model.Q)
-    scale = 1.0 + float(np.abs(np.concatenate([np.ravel(a) for a in data])).max())
+            x, nu, mu, pi_l, pi_u) + (() if model.Q is None else (model.Q,))
+    scale = 1.0 + max(float(np.abs(a).max()) for a in data if a.size)
     s, p_, c_, d_ = (v / scale for v in (stationarity, primal, comp, dual_viol))
-    passed = s <= kkt_tol and p_ <= kkt_tol and c_ <= kkt_tol and d_ <= kkt_tol
+    passed = s <= KKT_TOL and p_ <= KKT_TOL and c_ <= KKT_TOL and d_ <= KKT_TOL
     return KktReport(s, p_, c_, d_, passed)

@@ -616,6 +616,10 @@ def test_config_validation():
         SolverConfig(branch_rule="random")
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=0.0)
+    # a NaN tolerance fathoms no node by its bound
+    for tol in ({"rel_tol": math.nan}, {"abs_tol": math.nan}):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            SolverConfig(**tol)
     for bad in (math.nan, -1.0, -math.inf):
         with pytest.raises(ValueError):
             SolverConfig(time_limit=bad)

@@ -140,6 +140,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # NaN passes every deadline test, so each relaxation solve would stop at once
     assert main(["solve", str(path), "--time-limit", "nan"]) == 1
     assert "time_limit must be nonnegative" in capsys.readouterr().err
+    assert main(["solve", str(path), "--rel-tol", "nan"]) == 1
+    assert "tolerances must be positive" in capsys.readouterr().err
 
 
 def test_solve_writes_trace(tmp_path, capsys):

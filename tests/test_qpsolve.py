@@ -500,6 +500,53 @@ def test_kkt_flags_primal_violation():
     assert rep.primal > 1e-3
 
 
+def test_kkt_stationarity_with_every_row_kind():
+    # Q, an equality row, a violated C row and multipliers on both bounds
+    Q, q = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+    A, b, C, d = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([[1.0, -1.0]]), np.array([-0.6])
+    model = make_model(Q, q, A=A, b=b, C=C, d=d, lb=[0.0, 0.0], ub=[1.0, 1.0])
+    x, nu, mu = np.array([0.25, 0.75]), np.array([0.3]), np.array([2.0])
+    pi_l, pi_u = np.array([0.1, 0.0]), np.array([0.0, 0.4])
+    sol = qpsolve.QpSolution(qpsolve.STATUS_OPTIMAL, x, 0.0, nu, mu, pi_l, pi_u, 0)
+    rep = qpsolve.verify_kkt(model, sol)
+    scale = 1.0 + 2.0       # the largest magnitude: Q_11 and mu
+    grad = 2.0 * Q @ x + q + A.T @ nu + C.T @ mu - pi_l + pi_u
+    assert abs(rep.stationarity - float(np.max(np.abs(grad))) / scale) <= 1e-12
+    assert rep.primal == pytest.approx(0.1 / scale, abs=1e-12)             # Cx - d
+    assert rep.complementarity == pytest.approx(0.2 / scale, abs=1e-12)    # mu (d - Cx)
+    assert not rep.passed
+
+
+def test_every_optimal_solve_carries_its_kkt_report():
+    # the report is attached after the solve, for QPs on the full and the
+    # reduced path, a QP whose phase 1 is a HiGHS LP, and a McCormick LP;
+    # a solve that stops short of optimal carries none
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
+
+    full = make_model(
+        np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([0.7, -1.3]),
+        A=[[1.1, 3.3]], b=[1.0], lb=[-5.0, -5.0], ub=[5.0, 5.0],
+    )
+    reduced = _root_qp("eiqp", 4, 0, "eigz", m=1)
+    assert reduced.A.shape[0] and np.linalg.eigvalsh(reduced.Q)[0] < -qpsolve.PSD_SLACK
+    rows = _node_qps("cbqp", 6, 3, 0.3, 1)[0]
+    assert rows.C.shape[0] == 2
+    prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=5, k=2, seed=3))
+    lp = build_mccormick_relaxation(restrict(prob, root_restriction(prob)))
+    sols = [(model, qpsolve.solve_convex_qp(model, **kw))
+            for model in (full, reduced, rows)
+            for kw in ({}, {"tol": 1e-30, "max_iter": 1})]
+    sols.append((lp, qpsolve.solve_lp(lp)))
+    statuses = [sol.status for _, sol in sols]
+    assert statuses.count(qpsolve.STATUS_OPTIMAL) == 4
+    assert statuses.count(qpsolve.STATUS_MAXITER) == 3
+    for model, sol in sols:
+        if sol.status == qpsolve.STATUS_OPTIMAL:
+            assert sol.kkt == qpsolve.verify_kkt(model, sol)
+        else:
+            assert sol.kkt is None
+
+
 # -------------------------------------------------------- max_iter and bounds
 
 
@@ -897,4 +944,6 @@ def test_optimal_implies_kkt_at_ten_tol(n, seed):
     model = make_model(Q, q, lb=rng.uniform(-2, -0.5, n), ub=rng.uniform(0.5, 2, n))
     sol = qpsolve.solve_convex_qp(model, tol=1e-8)
     assert sol.status == qpsolve.STATUS_OPTIMAL
-    assert qpsolve.verify_kkt(model, sol, kkt_tol=1e-7).passed
+    rep = qpsolve.verify_kkt(model, sol)
+    # np.max propagates a NaN residual, so this is exactly `passed` at 1e-7
+    assert np.max([rep.stationarity, rep.primal, rep.complementarity, rep.dual_violation]) <= 1e-7
