@@ -38,7 +38,6 @@ from spectralqp.problem import GeneratorSpec, generate_random, validate
 from spectralqp.relaxation import (
     build_spectral_relaxation,
     restrict,
-    root_restriction,
     shift_for_mode,
 )
 
@@ -76,7 +75,7 @@ def instances():
 def truncated_root_bound(problem, mode: str) -> float:
     """The bound of the root QP of a spectral mode after at most
     TRUNCATED_MAX_ITER active-set iterations."""
-    R = restrict(problem, root_restriction(problem))
+    R = restrict(problem, problem.lb, problem.ub)
     model = build_spectral_relaxation(R, shift_for_mode(mode, R.Q, R.A))
     return qpsolve.solve_convex_qp(model, max_iter=TRUNCATED_MAX_ITER).bound
 

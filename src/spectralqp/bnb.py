@@ -1,18 +1,21 @@
 """Branch-and-bound engine for nonconvex (MI)QP over boxes with linear rows.
 
-Nodes live on a best-bound heap (ties by creation order).  Each popped node is
-restricted to its model (`relaxation.restrict`), bounded by the configured
-relaxation of that model, and fathomed when its bound cannot beat the
-incumbent minus abs_tol.  A surviving node searches its relaxation point for
-an incumbent, is tested again when that improved the incumbent, and is
-otherwise branched: binary variables through the spectral rules, general
-integers by most-fractional bound splits, continuous nonconvex variables by
-envelope-violation spatial splits.  One smallest eigenpair of the node's Q
-decides its shift: convex nodes (Q restricted PSD, or PSD on the equality
+A node is its box, two arrays lb and ub over all n variables; a variable
+whose range is a point is fixed (`relaxation.free_indices`).  Nodes live on
+a best-bound heap (ties by creation order).  Each popped node is restricted
+to its model (`relaxation.restrict`), bounded by the configured relaxation
+of that model, and fathomed when its bound cannot beat the incumbent minus
+abs_tol.  A surviving node searches its relaxation point for an incumbent,
+is tested again when that improved the incumbent, and is otherwise branched
+into copies of its box with one variable's range edited: binary variables
+fixed (their range made a point) through the spectral rules, general
+integers split by most-fractional, continuous nonconvex variables narrowed
+by envelope-violation spatial splits.  One smallest eigenpair of the node's
+Q decides its shift: convex nodes (Q restricted PSD, or PSD on the equality
 nullspace) skip the shift and solve the plain relaxation, and every other
-node takes its mode's shift.  The eigz pencils
-(Q, I + delta A'A), also the QP class of AUTO, share one delta per run,
-found by the geometric search on the root's data before the first node.
+node takes its mode's shift.  The eigz pencils (Q, I + delta A'A), also the
+QP class of AUTO, share one delta per run, found by the geometric search on
+the root's data before the first node.
 
 In AUTO mode the engine arbitrates between the spectral QP and the McCormick
 LP with per-class solve intervals omega: a relaxation runs when at least
@@ -21,19 +24,21 @@ node where both ran gets its interval shrunk and the other grown
 (dynamic_selection_update).  A node's bound is the certified `bound` of its
 relaxation solve (qpsolve owns the certificate, finite for every solve that
 does not prove the node empty): spectral QPs are solved by the active-set
-method of qpsolve, McCormick LPs exactly by HiGHS dual simplex.  A node
-whose solve certifies nothing (a NaN bound, or no LP past the deadline)
-keeps its parent bound.  Relaxation solves stop at the time limit too (the
-QP at its next active-set iteration, the LP through HiGHS's own time
-limit), returning whatever bound they have certified by then, and no LP
-starts past it.
+method of qpsolve, McCormick LPs exactly by HiGHS dual simplex.  Every
+optimal node solve is checked by qpsolve.verify_kkt; stats["kkt_discards"]
+counts the failures and stats["max_accepted_kkt"] the worst residual that
+passed.  A node whose solve certifies nothing (a NaN bound, or no LP past
+the deadline) keeps its parent bound.  Relaxation solves stop at the time
+limit too (the QP at its next active-set iteration, the LP through HiGHS's
+own time limit), returning whatever bound they have certified by then, and
+no LP starts past it.
 
 Once an incumbent exists, a branched node's children inherit the box that
 reduced-cost tightening proves (Ryoo and Sahinidis, JOGO 1996): from the
 slope of each certified solve of the node (qpsolve.tightened_box), no point
 of the node outside it beats the incumbent.  Integer bounds round inward,
-an integer whose range closes is fixed, and a child whose branched value
-falls outside is dropped; stats["reduced_cost_fixings"] counts both.
+so an integer whose range closes to a point is fixed, and a child whose box
+empties is dropped; stats["reduced_cost_fixings"] counts both.
 
 Every run is single-threaded and deterministic for a fixed (problem, config):
 the trace (one record per node) and result are bit-reproducible.
@@ -55,15 +60,14 @@ from .relaxation import (
     KIND_NONE,
     ConvexQpModel,
     NodeInfeasible,
-    NodeRestriction,
     SpectralShift,
     build_mccormick_relaxation,
     build_spectral_relaxation,
     compute_shift_eigz_approx,
     compute_shift_eigz_exact,
+    free_indices,
     shift_for_mode,
     restrict,
-    root_restriction,
 )
 
 MODE_EIG = "eig"
@@ -164,19 +168,11 @@ class SolveResult:
 
 @dataclass(eq=False)
 class _Node:
-    node: NodeRestriction
+    lb: np.ndarray     # the node's box over all n variables
+    ub: np.ndarray
     bound: float       # inherited from the parent's computed bound
     depth: int
     order: int
-
-
-def _assemble_full(problem: ProblemInstance, node: NodeRestriction, x_free) -> np.ndarray:
-    x = np.empty(problem.n)
-    for i, v in node.fixed.items():
-        x[i] = v
-    if len(node.free):
-        x[list(node.free)] = np.asarray(x_free, dtype=float)
-    return x
 
 
 def _cardinality_row(problem: ProblemInstance):
@@ -193,31 +189,29 @@ def _cardinality_row(problem: ProblemInstance):
 
 def upper_bound_heuristic(
     problem: ProblemInstance,
-    node: NodeRestriction,
-    x_free,
+    x0: np.ndarray,
+    free: np.ndarray,
     f_ubd: float,
     pg_step: float,
 ):
-    """Cheap incumbent candidates from a relaxation point: top-k rounding for
-    cardinality-constrained binaries, threshold rounding otherwise, nearest
-    rounding for general integers, and <= 100 projected-gradient steps of
-    length `pg_step` (1/(2 ||Q||_2), the inverse Lipschitz constant of the
-    gradient) on the box for purely continuous problems.  Returns (value, x)
-    for the best feasible improving candidate, else None."""
-    x0 = _assemble_full(problem, node, x_free)
+    """Cheap incumbent candidates from a relaxation point x0 over all n
+    variables (the node's fixed values filled in, `free` its free
+    variables): top-k rounding for cardinality-constrained binaries,
+    threshold rounding otherwise, nearest rounding for general integers, and
+    <= 100 projected-gradient steps of length `pg_step` (1/(2 ||Q||_2), the
+    inverse Lipschitz constant of the gradient) on the box for purely
+    continuous problems.  Returns (value, x) for the best feasible improving
+    candidate, else None."""
     candidates = []
     if problem.integers:
         k = _cardinality_row(problem)
-        if k is not None and node.free:
-            fixed_ones = sum(1 for v in node.fixed.values() if v > 0.5)
-            k_eff = k - fixed_ones
-            if 0 <= k_eff <= len(node.free):
-                vals = np.asarray(x_free, dtype=float)
-                order = np.argsort(-vals, kind="stable")
-                xc = x0.copy()
-                xc[list(node.free)] = 0.0
-                for t in order[:k_eff]:
-                    xc[node.free[t]] = 1.0
+        if k is not None:
+            xc = x0.copy()
+            xc[free] = 0.0
+            k_eff = k - int(np.count_nonzero(xc > 0.5))   # less the fixed ones
+            if 0 <= k_eff <= free.size:
+                order = np.argsort(-x0[free], kind="stable")
+                xc[free[order[:k_eff]]] = 1.0
                 candidates.append(xc)
         xr = x0.copy()
         idx = sorted(problem.integers)
@@ -292,22 +286,23 @@ class _Engine:
             return None
         return shift_for_mode(self.config.relaxation, R.Q, R.A, self.root_delta, pair)
 
-    def _accept(self, sol):
-        """The certified bound of a relaxation solve (None when it has none)
-        and its point over the node's free variables; raises NodeInfeasible
-        when the solve certified the node empty.  A solve with a finite bound
-        joins `certified`, whose slopes tighten the node's children.
-        stats["kkt_discards"] counts optimal solves whose `verify_kkt`
-        failed; their bound is still used, since it is certified without
-        the KKT check."""
+    def _accept(self, model, sol):
+        """The certified bound of a relaxation solve of `model` (None when it
+        has none) and its point over the node's free variables; raises
+        NodeInfeasible when the solve certified the node empty.  A solve
+        with a finite bound joins `certified`, whose slopes tighten the
+        node's children.  stats["kkt_discards"] counts optimal solves whose
+        `verify_kkt` failed; their bound is still used, since it is
+        certified without the KKT check."""
         if sol.bound == math.inf:
             raise NodeInfeasible("relaxation certified the node empty")
-        rep = sol.kkt
-        if rep is not None and rep.passed:
-            worst = max(rep.stationarity, rep.primal, rep.complementarity, rep.dual_violation)
-            self.stats["max_accepted_kkt"] = max(self.stats["max_accepted_kkt"], worst)
-        elif rep is not None:
-            self.stats["kkt_discards"] += 1
+        if sol.status == qpsolve.STATUS_OPTIMAL:
+            rep = qpsolve.verify_kkt(model, sol)
+            if rep.passed:
+                worst = max(rep.stationarity, rep.primal, rep.complementarity, rep.dual_violation)
+                self.stats["max_accepted_kkt"] = max(self.stats["max_accepted_kkt"], worst)
+            else:
+                self.stats["kkt_discards"] += 1
         bound = sol.bound if math.isfinite(sol.bound) else None
         if sol.slope is not None:
             self.certified.append(sol)
@@ -320,7 +315,7 @@ class _Engine:
         self.stats["qp_solves"] += 1
         sol = qpsolve.solve_convex_qp(model, deadline=self.deadline)
         self.stats["qp_iterations"] += sol.iterations
-        bound, x = self._accept(sol)
+        bound, x = self._accept(model, sol)
         return bound, x, shift, model.kind
 
     def _solve_lp(self, R):
@@ -332,7 +327,7 @@ class _Engine:
         self.stats["lp_solves"] += 1
         sol = qpsolve.solve_lp(model, deadline=self.deadline)
         self.stats["lp_iterations"] += sol.iterations
-        bound, x = self._accept(sol)
+        bound, x = self._accept(model, sol)
         return bound, (x[: R.nvar] if x is not None else None)
 
     def lower_bound(self, R: ConvexQpModel):
@@ -373,80 +368,55 @@ class _Engine:
         return f_lp, x_lp if x_lp is not None else x_qp, shift, "mccormick"
 
 
-def _fixed_child(node: NodeRestriction, idx: int, value: float) -> NodeRestriction:
-    """The child of `node` with variable `idx` fixed to `value`."""
-    fixed = dict(node.fixed)
-    fixed[idx] = value
-    keep = tuple(i for i in node.free if i != idx)
-    mask = [s for s, i in enumerate(node.free) if i != idx]
-    return NodeRestriction(free=keep, fixed=fixed, lb=node.lb[mask], ub=node.ub[mask])
+def _child(lb, ub, i, lo, hi):
+    """A copy of the box [lb, ub] with variable i's range set to [lo, hi]."""
+    lb, ub = lb.copy(), ub.copy()
+    lb[i], ub[i] = lo, hi
+    return lb, ub
 
 
-def _tightened_child(problem, node, child, lo, hi):
-    """(child within the box [lo, hi] over node.free, its integer variables
-    whose range closed fixed; fixings): None and one when the branched value
-    or a range falls outside, else the child and the number of integers it
-    fixed."""
-    pos = {i: t for t, i in enumerate(node.free)}
-    for i, v in child.fixed.items():
-        if i in pos and not lo[pos[i]] - 1e-9 <= v <= hi[pos[i]] + 1e-9:
-            return None, 1
-    sel = [pos[i] for i in child.free]
-    lb, ub = np.maximum(child.lb, lo[sel]), np.minimum(child.ub, hi[sel])
-    if np.any(lb > ub + 1e-12):
-        return None, 1
-    ub = np.maximum(ub, lb)
-    out = NodeRestriction(free=child.free, fixed=dict(child.fixed), lb=lb, ub=ub)
-    closed = [
-        (i, float(lb[t])) for t, i in enumerate(child.free)
-        if i in problem.integers and lb[t] == ub[t] and child.lb[t] < child.ub[t]
-    ]
-    for i, v in closed:
-        out = _fixed_child(out, i, v)
-    return out, len(closed)
-
-
-def _tighten_children(problem, node, children, certified, cutoff):
-    """(children, fixings): the children of `node` cut to the box outside
-    which no point of the node has objective below `cutoff`, by the slopes
-    of the node's certified solves (qpsolve.tightened_box), integer bounds
-    rounded inward; `fixings` counts the integers fixed and children
-    dropped."""
-    lo, hi = node.lb, node.ub
+def _tighten_children(ints, lb, ub, free, children, certified, cutoff):
+    """(children, fixings): the child boxes of the node [lb, ub] cut to the
+    box outside which no point of the node has objective below `cutoff`, by
+    the slopes of the node's certified solves (qpsolve.tightened_box over
+    its free variables), integer bounds rounded inward; a child whose box
+    empties is dropped.  `fixings` counts the children dropped and the
+    integers (mask `ints`) whose range closed to a point."""
+    lo, hi = lb[free], ub[free]
     for sol in certified:
-        lo_s, hi_s = qpsolve.tightened_box(sol, node.lb, node.ub, cutoff)
+        lo_s, hi_s = qpsolve.tightened_box(sol, lb[free], ub[free], cutoff)
         lo, hi = np.maximum(lo, lo_s), np.minimum(hi, hi_s)
-    ints = np.array([i in problem.integers for i in node.free], dtype=bool)
-    lo = np.where(ints, np.ceil(lo - 1e-9), lo)
-    hi = np.where(ints, np.floor(hi + 1e-9), hi)
+    box_lo, box_hi = lb.copy(), ub.copy()
+    box_lo[free] = np.where(ints[free], np.ceil(lo - 1e-9), lo)
+    box_hi[free] = np.where(ints[free], np.floor(hi + 1e-9), hi)
     kept, fixings = [], 0
-    for child in children:
-        child, fixed = _tightened_child(problem, node, child, lo, hi)
-        fixings += fixed
-        if child is not None:
-            kept.append(child)
+    for c_lb, c_ub in children:
+        new_lb, new_ub = np.maximum(c_lb, box_lo), np.minimum(c_ub, box_hi)
+        if np.any(new_lb > new_ub + 1e-12):
+            fixings += 1
+            continue
+        new_ub = np.maximum(new_ub, new_lb)
+        fixings += int(np.count_nonzero(ints & (new_lb == new_ub) & (c_lb < c_ub)))
+        kept.append((new_lb, new_ub))
     return kept, fixings
 
 
-def _branch_children(problem, config, entry, R, x_rel, shift):
-    """Create child restrictions; returns (children, branch_index)."""
-    node = entry.node
-    free = node.free
+def _branch_children(problem, config, ints, entry, free, R, x_rel, shift):
+    """The child boxes of the node `entry`, whose free variables are `free`
+    and whose model is R; returns (children, branch_index)."""
+    lb, ub = entry.lb, entry.ub
     x_rel = np.asarray(x_rel, dtype=float)
-    unfixed_int = [i for i in free if i in problem.integers]
+    free_int = free[ints[free]]
     rule = config.branch_rule
 
-    if unfixed_int:
+    if free_int.size:
         idx = None
-        local = {orig: t for t, orig in enumerate(free)}
         binary = problem.is_pure_binary()
-        spectral_ok = binary and len(free) >= 2
-        wanted = rule if rule in ("approx", "gct", "exact") else "approx"
-        if spectral_ok and rule != "fractional":
+        if binary and free.size >= 2 and rule != "fractional":
             try:
-                if wanted == "exact":
+                if rule == "exact":
                     idx = branching.spectral_branch_exact(R.Q, free)
-                elif wanted == "gct":
+                elif rule == "gct":
                     idx = branching.spectral_branch_gct(R.Q, free)
                 elif shift is not None and shift.alpha > 0:
                     idx = branching.spectral_branch_approx(shift, free)
@@ -454,46 +424,31 @@ def _branch_children(problem, config, entry, R, x_rel, shift):
                 idx = None
         if idx is None:
             try:
-                idx = branching.most_fractional_branch(node, x_rel, problem.integers)
+                idx = branching.most_fractional_branch(free, x_rel, problem.integers)
             except ValueError:
-                idx = unfixed_int[0]
-        t = local[idx]
-        lo, up = node.lb[t], node.ub[t]
+                idx = free_int[0]
+        idx = int(idx)
+        lo, up = lb[idx], ub[idx]
         if binary or (lo == 0.0 and up == 1.0):
-            return [_fixed_child(node, idx, v) for v in (0.0, 1.0)], idx   # 0-child first
-        v = float(np.clip(x_rel[t], lo, up))
+            return [_child(lb, ub, idx, v, v) for v in (0.0, 1.0)], idx   # 0-child first
+        v = float(np.clip(x_rel[np.searchsorted(free, idx)], lo, up))
         split = math.floor(v + 1e-9)
         split = int(np.clip(split, math.ceil(lo), math.floor(up) - 1))
-        children = []
-        for new_lo, new_up in ((lo, float(split)), (float(split + 1), up)):
-            if new_lo > new_up + 1e-12:
-                continue
-            if new_lo == new_up:
-                children.append(_fixed_child(node, idx, new_lo))
-            else:
-                lb, ub = node.lb.copy(), node.ub.copy()
-                lb[t], ub[t] = new_lo, new_up
-                children.append(
-                    NodeRestriction(free=free, fixed=dict(node.fixed), lb=lb, ub=ub)
-                )
-        return children, idx
+        ranges = ((lo, float(split)), (float(split + 1), up))
+        # a range of one value fixes the integer
+        return [_child(lb, ub, idx, a, b) for a, b in ranges if a <= b + 1e-12], idx
 
     # continuous: spatial split at the relaxation point
     alpha = shift.alpha if shift is not None else 0.0
     try:
-        dec = branching.spatial_branch(node, x_rel, R.Q, alpha=alpha)
-        t, split = free.index(dec.index), dec.split
+        t, split = branching.spatial_branch(R.lb, R.ub, x_rel, R.Q, alpha=alpha)
     except ValueError:
         # no envelope slack at x_rel (a box vertex, say) says nothing about
         # the bound: bisect the widest variable
-        t = int(np.argmax(node.ub - node.lb))
-        split = 0.5 * (node.lb[t] + node.ub[t])
-    children = []
-    for new_lo, new_up in ((node.lb[t], split), (split, node.ub[t])):
-        lb, ub = node.lb.copy(), node.ub.copy()
-        lb[t], ub[t] = new_lo, new_up
-        children.append(NodeRestriction(free=free, fixed=dict(node.fixed), lb=lb, ub=ub))
-    return children, free[t]
+        t = int(np.argmax(R.ub - R.lb))
+        split = 0.5 * (R.lb[t] + R.ub[t])
+    i = int(free[t])
+    return [_child(lb, ub, i, lb[i], split), _child(lb, ub, i, split, ub[i])], i
 
 
 def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
@@ -508,7 +463,9 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     trace = [] if cfg.keep_trace else None
     order = 0
     heap = []
-    root = _Node(node=root_restriction(problem), bound=-math.inf, depth=0, order=0)
+    ints = np.zeros(problem.n, dtype=bool)
+    ints[list(problem.integers)] = True
+    root = _Node(lb=problem.lb, ub=problem.ub, bound=-math.inf, depth=0, order=0)
     heapq.heappush(heap, (root.bound, root.order, root))
     nodes_done = 0
     status = None
@@ -564,10 +521,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         if fathom(entry, entry.bound, None, "fathom_inherited"):
             continue
 
-        node = entry.node
+        lb, ub = entry.lb, entry.ub
+        free = free_indices(lb, ub)
         # leaf: everything fixed
-        if not node.free:
-            x = _assemble_full(problem, node, np.zeros(0))
+        if not free.size:
+            x = lb.copy()
             if check_feasibility(problem, x).feasible:
                 val = evaluate_objective(problem, x)
                 if try_incumbent(val, x):
@@ -577,11 +535,10 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 close(entry, None, None, "fathom_infeasible")
             continue
 
-        R = restrict(problem, node)
-        unfixed_int = any(i in problem.integers for i in node.free)
-        if not unfixed_int and float(np.max(node.ub - node.lb)) <= TINY_BOX:
+        R = restrict(problem, lb, ub)
+        if not ints[free].any() and float(np.max(R.ub - R.lb)) <= TINY_BOX:
             # a collapsed box: its center is the only candidate
-            x = _assemble_full(problem, node, 0.5 * (node.lb + node.ub))
+            x = 0.5 * (lb + ub)
             if check_feasibility(problem, x).feasible:
                 try_incumbent(evaluate_objective(problem, x), x)
             close(entry, entry.bound, None, "fathom_tiny_box")
@@ -599,7 +556,9 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         # no heuristic at a fathomed node: no point in it beats its bound,
         # so an incumbent found there would gain less than the tolerances
         if x_rel is not None:
-            cand = upper_bound_heuristic(problem, node, x_rel, f_ubd, eng.pg_step)
+            x = lb.copy()
+            x[free] = x_rel
+            cand = upper_bound_heuristic(problem, x, free, f_ubd, eng.pg_step)
             if cand is not None:
                 try_incumbent(*cand)
                 eng.stats["heuristic_hits"] += 1
@@ -607,15 +566,17 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                     continue
 
         if x_rel is None:
-            x_rel = 0.5 * (node.lb + node.ub)
-        children, branch_var = _branch_children(problem, cfg, entry, R, x_rel, shift)
+            x_rel = 0.5 * (R.lb + R.ub)
+        children, branch_var = _branch_children(problem, cfg, ints, entry, free, R, x_rel, shift)
         record(entry, node_bound, kind, branch_var, "branch")
         if math.isfinite(f_ubd) and eng.certified:
-            children, fixings = _tighten_children(problem, node, children, eng.certified, f_ubd)
+            children, fixings = _tighten_children(
+                ints, lb, ub, free, children, eng.certified, f_ubd
+            )
             eng.stats["reduced_cost_fixings"] += fixings
-        for child in children:
+        for c_lb, c_ub in children:
             order += 1
-            kid = _Node(node=child, bound=node_bound, depth=entry.depth + 1, order=order)
+            kid = _Node(c_lb, c_ub, bound=node_bound, depth=entry.depth + 1, order=order)
             heapq.heappush(heap, (kid.bound, kid.order, kid))
 
     if status is None:

@@ -18,25 +18,13 @@ index so runs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
-from .relaxation import NodeRestriction, SpectralShift
-
-KIND_SPATIAL_SPLIT = "spatial_split"
+from .relaxation import SpectralShift
 
 SPLIT_CLAMP = 0.2      # spatial split point forced this deep into the box
 FRACTIONAL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class BranchDecision:
-    index: int                 # original variable numbering
-    kind: str                  # binary_fix | spatial_split
-    split: float | None        # spatial only, strictly inside the local box
-    rule: str
 
 
 def _check_candidates(Qb: np.ndarray, B) -> np.ndarray:
@@ -118,37 +106,30 @@ def branching_gap_metric(Qb, i_x: int) -> float:
     return float(np.clip(100.0 * (float(lams[i_x]) - best) / denom, 0.0, 100.0))
 
 
-def spatial_branch(
-    node: NodeRestriction,
-    x_relax,
-    Qb,
-    alpha: float = 0.0,
-) -> BranchDecision:
-    """Continuous branching: pick the variable with the largest weighted
-    envelope violation |Q_ii + alpha| * ((l+u)x - lu - x^2) at the relaxation
-    point, split there, clamped 20% inside the local box."""
+def spatial_branch(lb, ub, x_relax, Qb, alpha: float = 0.0) -> tuple[int, float]:
+    """Continuous branching over the node's free variables, whose box is
+    [lb, ub]: pick the variable with the largest weighted envelope violation
+    |Q_ii + alpha| * ((l+u)x - lu - x^2) at the relaxation point, split
+    there, clamped 20% inside its range.  Returns (local index, split)."""
     x = np.asarray(x_relax, dtype=float)
     Qb = np.asarray(Qb, dtype=float)
-    l, u = node.lb, node.ub
-    viol = (l + u) * x - l * u - x * x
+    viol = (lb + ub) * x - lb * ub - x * x
     scores = np.abs(np.diag(Qb) + alpha) * viol
     i = int(np.argmax(scores))
     if scores[i] <= 0.0:
         raise ValueError("no variable has envelope slack: box is at granularity")
-    w = u[i] - l[i]
-    split = float(np.clip(x[i], l[i] + SPLIT_CLAMP * w, u[i] - SPLIT_CLAMP * w))
-    return BranchDecision(
-        index=node.free[i], kind=KIND_SPATIAL_SPLIT, split=split, rule="spatial"
-    )
+    w = ub[i] - lb[i]
+    return i, float(np.clip(x[i], lb[i] + SPLIT_CLAMP * w, ub[i] - SPLIT_CLAMP * w))
 
 
-def most_fractional_branch(node: NodeRestriction, x_relax, integers) -> int:
-    """Fallback integer rule: the unfixed integer variable whose relaxation
-    value sits deepest between its neighboring integers."""
+def most_fractional_branch(free, x_relax, integers) -> int:
+    """Fallback integer rule: of the free variables `free` (original
+    indices, x_relax over them in that order), the integer one whose
+    relaxation value sits deepest between its neighboring integers."""
     x = np.asarray(x_relax, dtype=float)
     best_i = -1
     best_frac = FRACTIONAL_TOL
-    for local, orig in enumerate(node.free):
+    for local, orig in enumerate(free):
         if orig not in integers:
             continue
         frac = min(x[local] - np.floor(x[local]), np.ceil(x[local]) - x[local])

@@ -53,7 +53,6 @@ from .relaxation import (
     compute_shift_eig,
     shift_for_mode,
     restrict,
-    root_restriction,
 )
 
 log = logging.getLogger("spectralqp.cli")
@@ -108,7 +107,7 @@ def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
     its solve (finite for every QP, and for every LP HiGHS returns
     multipliers for), +inf when it certifies infeasibility, nan when it
     certifies nothing."""
-    R = restrict(problem, root_restriction(problem))
+    R = restrict(problem, problem.lb, problem.ub)
     method = method.lower()
     try:
         if method in ("eig", "geig", "eigz"):

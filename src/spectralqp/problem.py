@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SYMMETRY_WARN_TOL = 1e-12
+FEAS_TOL = 1e-8        # check_feasibility: row and bound violations
+INT_TOL = 1e-6         # check_feasibility: integrality deviation
 
 
 class ProblemFormatError(ValueError):
@@ -191,15 +193,10 @@ def evaluate_objective(problem: ProblemInstance, x) -> float:
     return float(x @ problem.Q @ x + problem.q @ x)
 
 
-def check_feasibility(
-    problem: ProblemInstance,
-    x,
-    tol_eq: float = 1e-8,
-    tol_int: float = 1e-6,
-) -> FeasibilityReport:
+def check_feasibility(problem: ProblemInstance, x) -> FeasibilityReport:
     """Residual report for a candidate point.  `feasible` holds iff the
     equality residual, inequality violation and bound violation are all
-    within tol_eq and the integrality deviation is within tol_int."""
+    within FEAS_TOL and the integrality deviation is within INT_TOL."""
     x = np.asarray(x, dtype=float)
     eq = float(np.max(np.abs(problem.A @ x - problem.b))) if problem.m else 0.0
     ineq = float(np.max(problem.C @ x - problem.d)) if problem.p else 0.0
@@ -212,7 +209,7 @@ def check_feasibility(
         integ = float(np.max(np.abs(xi - np.round(xi))))
     else:
         integ = 0.0
-    feasible = eq <= tol_eq and ineq <= tol_eq and bound <= tol_eq and integ <= tol_int
+    feasible = eq <= FEAS_TOL and ineq <= FEAS_TOL and bound <= FEAS_TOL and integ <= INT_TOL
     return FeasibilityReport(eq, ineq, bound, integ, feasible)
 
 

@@ -32,11 +32,11 @@ the equality multipliers are refit by least squares on the stationarity
 residual.
 
 A solution holds the status, x, objective, multipliers and iteration count
-(active-set or simplex iterations), its one certified lower bound on the
-model optimum, `bound`, and for an optimal solve the scaled residuals of
-verify_kkt, `kkt`, its only residual record.  Both engines hand their point
-and multipliers to one post-solve pass, _solution, which sets the objective,
-the bound and, for an optimal solve, the KKT report.  Callers read `bound`
+(active-set or simplex iterations) and its one certified lower bound on the
+model optimum, `bound`.  Both engines hand their point and multipliers to
+one post-solve pass, _solution, which sets the objective and the bound.
+verify_kkt computes the scaled KKT residuals of a solution for a caller
+that reads them (bnb checks every optimal node solve).  Callers read `bound`
 rather than the status.  It comes from one formula, _bound: the rows
 dualized at the returned multipliers, the box kept primal, and the
 Lagrangian linearized at the returned point, so it holds for a truncated
@@ -92,7 +92,6 @@ class QpSolution:
     pi_u: np.ndarray        # upper-bound multipliers, >= 0
     iterations: int
     bound: float = -math.inf        # certified lower bound on the model optimum
-    kkt: KktReport | None = None    # verify_kkt report of an optimal solve
     slope: np.ndarray | None = None  # g of the bound's linearization; None unless bound is finite
 
 
@@ -435,9 +434,8 @@ def _infeasible(model: ConvexQpModel) -> QpSolution:
 def _solution(model: ConvexQpModel, status, x, nu, mu, z, iterations, curvature=0.0) -> QpSolution:
     """The solution at x (None when the solver has no point; the objective
     is then nan), its bound +inf when `status` is infeasible, else _bound at
-    x with its slope, and for an optimal `status` its verify_kkt report.
-    `mu` holds the inequality multipliers and `z` the box ones
-    (pi_u = max(z, 0), pi_l = max(-z, 0)); `nu` holds the equality
+    x with its slope.  `mu` holds the inequality multipliers and `z` the box
+    ones (pi_u = max(z, 0), pi_l = max(-z, 0)); `nu` holds the equality
     multipliers, or is None to fit them by least squares on the stationarity
     residual, which only the reduced path asks for: its x then certifies
     with curvature lambda_min(Z'QZ)."""
@@ -453,10 +451,7 @@ def _solution(model: ConvexQpModel, status, x, nu, mu, z, iterations, curvature=
         bound, slope = _bound(model, x, nu, mu, curvature, reduced)
         if not math.isfinite(bound):
             slope = None
-    sol = QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound, slope=slope)
-    if status == STATUS_OPTIMAL:
-        sol.kkt = verify_kkt(model, sol)
-    return sol
+    return QpSolution(status, x, objective, nu, mu, pi_l, pi_u, iterations, bound, slope=slope)
 
 
 def solve_convex_qp(
@@ -472,12 +467,11 @@ def solve_convex_qp(
     max_iter (out of active-set iterations, or past `deadline`, a
     time.monotonic() value; x is then the last iterate).  `bound` certifies
     the model optimum from below: +inf for an infeasible model, else _bound
-    at the returned point, whatever the status.  An optimal solve also
-    carries its verify_kkt report, `kkt`.  A model with equality rows whose
-    Q is indefinite, lambda_min(Q) < -PSD_SLACK (convex only on the rows'
-    nullspace, as an eigz shift can leave it), certifies with curvature
-    lambda_min(Z'QZ) over an orthonormal nullspace basis Z, its equality
-    multipliers refit by least squares."""
+    at the returned point, whatever the status.  A model with equality rows
+    whose Q is indefinite, lambda_min(Q) < -PSD_SLACK (convex only on the
+    rows' nullspace, as an eigz shift can leave it), certifies with
+    curvature lambda_min(Z'QZ) over an orthonormal nullspace basis Z, its
+    equality multipliers refit by least squares."""
     if model.Q is None or not np.any(model.Q):
         return solve_lp(model, deadline)
     if _interval_presolve(model):

@@ -1,9 +1,12 @@
 """Convex relaxations of restricted MIQP nodes.
 
-`restrict` turns a node into its own model, a `ConvexQpModel` of kind
-"node" whose Q (the free block of the problem's Q) is generally
-indefinite.  Each relaxation maps that model to a model that bounds
-min x'Qx + q'x over the node's feasible set from below:
+A node is its box [lb, ub] over all n variables: a variable whose range
+is a single point (lb[i] == ub[i], `free_indices` being the one place
+that says so) is fixed there, every other one is free.  `restrict` turns
+that box into the node's own model, a `ConvexQpModel` of kind "node" over
+the free variables, whose Q (the free block of the problem's Q) is
+generally indefinite.  Each relaxation maps that model to a model that
+bounds min x'Qx + q'x over the node's feasible set from below:
 
 * spectral: shift Q by alpha*I (or alpha*(I + A'A) in the generalized form)
   until convex, compensating on the box via the concave envelope of x^2,
@@ -42,26 +45,6 @@ KIND_NONE = "none"          # node already convex, no shift applied
 
 class NodeInfeasible(Exception):
     """The node's feasible set is provably empty."""
-
-
-@dataclass(frozen=True, eq=False)
-class NodeRestriction:
-    """A branch-and-bound node: unfixed variable list B (ascending, defining
-    the local ordering), fixed assignments, and local bounds over B."""
-
-    free: tuple            # ascending original indices
-    fixed: dict            # original index -> fixed value
-    lb: np.ndarray         # local lower bounds over free
-    ub: np.ndarray         # local upper bounds over free
-
-
-def root_restriction(problem: ProblemInstance) -> NodeRestriction:
-    return NodeRestriction(
-        free=tuple(range(problem.n)),
-        fixed={},
-        lb=problem.lb.copy(),
-        ub=problem.ub.copy(),
-    )
 
 
 @dataclass(eq=False)
@@ -109,13 +92,19 @@ class ConvexQpModel:
         return self.q.shape[0]
 
 
-def restrict(problem: ProblemInstance, node: NodeRestriction) -> ConvexQpModel:
-    """The node's model over its free variables: the fixed values
-    substituted, Q the free block of the problem's Q, the constant they
-    leave in `offset`."""
-    B = np.array(node.free, dtype=int)
-    F = np.array(sorted(node.fixed), dtype=int)
-    xf = np.array([node.fixed[i] for i in F], dtype=float)
+def free_indices(lb, ub) -> np.ndarray:
+    """The free variables of the box [lb, ub], ascending: those whose range
+    is more than a point.  A variable with lb[i] == ub[i] is fixed there."""
+    return np.flatnonzero(lb < ub)
+
+
+def restrict(problem: ProblemInstance, lb, ub) -> ConvexQpModel:
+    """The model of the node whose box over all n variables is [lb, ub]:
+    over its free variables, the fixed values substituted, Q the free block
+    of the problem's Q, the constant they leave in `offset`."""
+    B = free_indices(lb, ub)
+    F = np.delete(np.arange(problem.n), B)
+    xf = lb[F]
     Q, q = problem.Q, problem.q
     if F.size:
         Qb = Q[np.ix_(B, B)]
@@ -135,8 +124,8 @@ def restrict(problem: ProblemInstance, node: NodeRestriction) -> ConvexQpModel:
         b=np.array(bb, dtype=float),
         C=np.array(problem.C[:, B], dtype=float),
         d=np.array(db, dtype=float),
-        lb=np.array(node.lb, dtype=float),
-        ub=np.array(node.ub, dtype=float),
+        lb=np.array(lb[B], dtype=float),
+        ub=np.array(ub[B], dtype=float),
     )
 
 

@@ -33,7 +33,6 @@ from spectralqp.relaxation import (
     compute_shift_geig,
     relaxed_objective_at,
     restrict,
-    root_restriction,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -71,7 +70,7 @@ def _equality_instance(rng, n, m):
 
 def _spectral_root_bound(problem, method):
     """Root bound from one spectral relaxation plus its worst KKT residual."""
-    R = restrict(problem, root_restriction(problem))
+    R = restrict(problem, problem.lb, problem.ub)
     if method == "eig":
         shift = compute_shift_eig(R.Q)
     elif method == "geig":
@@ -373,7 +372,7 @@ def test_criterion_09_underestimation_and_envelope():
             x0 = np.zeros(n)
         else:
             prob, x0 = _equality_instance(rng, n, 1 + inst % 2)
-        R = restrict(prob, root_restriction(prob))
+        R = restrict(prob, prob.lb, prob.ub)
         models = [
             build_spectral_relaxation(R, compute_shift_eig(R.Q)),
             build_spectral_relaxation(R, compute_shift_geig(R.Q, R.A)),

@@ -222,13 +222,19 @@ def test_bounds_bracket_optimum():
     assert res.gap_percent <= 100.0 * 1e-6 + relative_gap(res.f_ubd, res.f_lbd) + 1e-12
 
 
-def test_trace_one_record_per_node():
-    rng = np.random.default_rng(9)
-    M = rng.normal(size=(6, 6))
-    prob = binary_problem((M + M.T) / 2)
-    res = solve(prob, SolverConfig(relaxation="eig"))
+@pytest.mark.parametrize("mode", ("eig", "auto"))
+@pytest.mark.parametrize("family", ("cbqp", "eiqp", "boxqp"))
+def test_trace_one_record_per_node(family, mode):
+    # between them these runs branch by every rule: spectral and fractional
+    # (cbqp), integer splits (eiqp) and spatial splits (boxqp); each must
+    # record its branch variable as a plain int
+    kw = {"cbqp": {"k": 2}, "eiqp": {"m": 1}, "boxqp": {}}[family]
+    prob = generate_random(GeneratorSpec(family=family, n=6, seed=0, **kw))
+    res = solve(prob, SolverConfig(relaxation=mode))
     assert res.trace is not None
     assert len(res.trace) == res.nodes
+    branched = [rec["branch_variable"] for rec in res.trace if rec["action"] == "branch"]
+    assert branched and all(type(i) is int for i in branched)
     for rec in res.trace:
         assert set(rec) == {"id", "depth", "bound", "relaxation", "branch_variable", "action"}
     json.dumps(res.trace)   # line-serializable
@@ -418,7 +424,7 @@ def test_no_lp_after_deadline(mode, monkeypatch):
     def slow_uncertified_qp(model, **kwargs):
         sol = real_qp(model, **kwargs)
         time.sleep(0.1)
-        return dataclasses.replace(sol, bound=-math.inf, kkt=None)
+        return dataclasses.replace(sol, bound=-math.inf)
 
     def counting_lp(*args, **kwargs):
         lp_calls.append(args)
@@ -443,7 +449,7 @@ def test_optimal_only_when_the_gap_closes(monkeypatch):
 
     def vertex_qp(model, **kwargs):
         sol = real_qp(model, **kwargs)
-        return dataclasses.replace(sol, x=model.lb.copy(), kkt=None)
+        return dataclasses.replace(sol, x=model.lb.copy())
 
     monkeypatch.setattr(qpsolve, "solve_convex_qp", vertex_qp)
     cfg = SolverConfig(relaxation="eig", node_limit=2000)
@@ -577,6 +583,28 @@ def test_reduced_cost_tightening_fixes_binaries(mode):
     assert res.status == "optimal"
     assert res.stats["reduced_cost_fixings"] > 0
     assert res.f_ubd == pytest.approx(enumerate_binary(prob).value, abs=1e-6)
+
+
+def test_tighten_children_on_a_hand_built_box():
+    # x0 integer in [0, 3], x1 continuous in [0, 1], x2 an integer fixed at 1;
+    # slopes (2, 1.25) and room 1 cut the free box to x0 <= 0.5, x1 <= 0.8
+    lb, ub = np.array([0.0, 0.0, 1.0]), np.array([3.0, 1.0, 1.0])
+    free = bnb.free_indices(lb, ub)
+    ints = np.array([True, False, True])
+    children = [bnb._child(lb, ub, 0, 0.0, 1.0), bnb._child(lb, ub, 0, 2.0, 3.0)]
+    sol = qpsolve.QpSolution(
+        "optimal", None, 0.0, np.zeros(0), np.zeros(0), np.zeros(2), np.zeros(2), 0,
+        bound=0.0, slope=np.array([2.0, 1.25]),
+    )
+    kept, fixings = bnb._tighten_children(ints, lb, ub, free, children, [sol], 1.0)
+    # the first child's x0 closes to the point 0 (one fixing), the second
+    # child's range [2, 3] empties (dropped, one fixing)
+    assert fixings == 2 and len(kept) == 1
+    c_lb, c_ub = kept[0]
+    assert c_lb[0] == c_ub[0] == 0.0
+    assert c_lb[1] == 0.0 and c_ub[1] == pytest.approx(0.8)
+    assert c_lb[2] == c_ub[2] == 1.0
+    assert bnb.free_indices(c_lb, c_ub).tolist() == [1]
 
 
 @pytest.mark.parametrize("mode", ("eig", "eigz", "auto"))

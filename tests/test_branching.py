@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralqp import linalg
+from spectralqp import bnb, linalg, problem
 from spectralqp.branching import (
-    KIND_SPATIAL_SPLIT,
     branching_gap_metric,
     deleted_min_eigenvalues,
     gct_deleted_bounds,
@@ -18,7 +17,7 @@ from spectralqp.branching import (
     spectral_branch_exact,
     spectral_branch_gct,
 )
-from spectralqp.relaxation import NodeRestriction, SpectralShift, compute_shift_eig
+from spectralqp.relaxation import SpectralShift, compute_shift_eig, free_indices, restrict
 
 Q_BLOCK = np.array([[-4.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 Q_TIE = np.array([[-1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 5.0]])
@@ -146,58 +145,55 @@ def test_gap_metric_in_range_random():
 # --------------------------------------------------------------- spatial rule
 
 
-def box_node(lb, ub, free=None):
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    return NodeRestriction(
-        free=tuple(free) if free is not None else tuple(range(lb.size)),
-        fixed={},
-        lb=lb,
-        ub=ub,
-    )
-
-
 def test_spatial_splits_at_relaxation_point():
-    node = box_node([0.0], [1.0])
-    dec = spatial_branch(node, [0.5], np.array([[-1.0]]))
-    assert dec.index == 0
-    assert dec.kind == KIND_SPATIAL_SPLIT
-    assert dec.split == pytest.approx(0.5)
-    assert dec.rule == "spatial"
+    i, split = spatial_branch(np.zeros(1), np.ones(1), [0.5], np.array([[-1.0]]))
+    assert i == 0
+    assert split == pytest.approx(0.5)
 
 
 def test_spatial_clamps_near_bound():
-    node = box_node([0.0], [1.0])
-    dec = spatial_branch(node, [0.02], np.array([[-1.0]]))
-    assert dec.split == pytest.approx(0.2)
-    dec = spatial_branch(node, [0.99], np.array([[-1.0]]))
-    assert dec.split == pytest.approx(0.8)
+    lb, ub = np.zeros(1), np.ones(1)
+    _, split = spatial_branch(lb, ub, [0.02], np.array([[-1.0]]))
+    assert split == pytest.approx(0.2)
+    _, split = spatial_branch(lb, ub, [0.99], np.array([[-1.0]]))
+    assert split == pytest.approx(0.8)
 
 
 def test_spatial_picks_largest_weighted_violation():
-    node = box_node([0.0, 0.0], [1.0, 1.0])
     # violations x - x^2: 0.09 vs 0.25
-    dec = spatial_branch(node, [0.1, 0.5], np.diag([-1.0, -1.0]))
-    assert dec.index == 1
+    i, _ = spatial_branch(np.zeros(2), np.ones(2), [0.1, 0.5], np.diag([-1.0, -1.0]))
+    assert i == 1
 
 
 def test_spatial_uses_original_numbering():
-    node = box_node([0.0], [1.0], free=(4,))
-    dec = spatial_branch(node, [0.5], np.array([[-2.0]]))
-    assert dec.index == 4
+    # spatial_branch answers in the node's local numbering; bnb maps it back
+    # to the original one, as a Python int for the trace
+    prob = problem.validate(
+        n=5, Q=np.diag([1.0, 1.0, 1.0, 1.0, -2.0]), q=np.zeros(5),
+        lb=np.zeros(5), ub=np.ones(5),
+    )
+    lb, ub = np.array([0.0, 1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    free = free_indices(lb, ub)
+    R = restrict(prob, lb, ub)
+    entry = bnb._Node(lb, ub, bound=-np.inf, depth=0, order=0)
+    children, idx = bnb._branch_children(
+        prob, bnb.SolverConfig(), np.zeros(5, dtype=bool), entry, free, R, [0.5], None
+    )
+    assert idx == 4 and type(idx) is int
+    assert [(c_lb[4], c_ub[4]) for c_lb, c_ub in children] == [(0.0, 0.5), (0.5, 1.0)]
 
 
 def test_spatial_alpha_enters_weight():
-    node = box_node([0.0, 0.0], [1.0, 1.0])
     # diag -1 and +0.6 with alpha 1: weights |0| and |1.6|
-    dec = spatial_branch(node, [0.5, 0.4], np.diag([-1.0, 0.6]), alpha=1.0)
-    assert dec.index == 1
+    i, _ = spatial_branch(
+        np.zeros(2), np.ones(2), [0.5, 0.4], np.diag([-1.0, 0.6]), alpha=1.0
+    )
+    assert i == 1
 
 
 def test_spatial_rejects_cornered_point():
-    node = box_node([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        spatial_branch(node, [0.0, 1.0], np.diag([-1.0, -1.0]))
+        spatial_branch(np.zeros(2), np.ones(2), [0.0, 1.0], np.diag([-1.0, -1.0]))
 
 
 def test_spatial_split_strictly_interior_random():
@@ -206,39 +202,34 @@ def test_spatial_split_strictly_interior_random():
         n = int(rng.integers(1, 5))
         lb = rng.uniform(-2, 0, n)
         ub = lb + rng.uniform(0.1, 3, n)
-        node = box_node(lb, ub)
         x = rng.uniform(lb, ub)
         try:
-            dec = spatial_branch(node, x, rand_sym(rng, n))
+            i, split = spatial_branch(lb, ub, x, rand_sym(rng, n))
         except ValueError:
             continue
-        i = node.free.index(dec.index)
-        assert lb[i] < dec.split < ub[i]
+        assert lb[i] < split < ub[i]
 
 
 # ------------------------------------------------------------ most fractional
 
 
 def test_most_fractional_worked():
-    node = box_node([0.0, 0.0], [1.0, 1.0])
-    assert most_fractional_branch(node, [0.5, 0.9], {0, 1}) == 0
-    assert most_fractional_branch(node, [1.0, 0.3], {0, 1}) == 1
+    assert most_fractional_branch((0, 1), [0.5, 0.9], {0, 1}) == 0
+    assert most_fractional_branch((0, 1), [1.0, 0.3], {0, 1}) == 1
 
 
 def test_most_fractional_skips_continuous():
-    node = box_node([0.0, 0.0], [1.0, 1.0])
-    assert most_fractional_branch(node, [0.5, 0.4], {1}) == 1
+    assert most_fractional_branch((0, 1), [0.5, 0.4], {1}) == 1
 
 
 def test_most_fractional_integral_errors():
-    node = box_node([0.0, 0.0], [2.0, 2.0])
     with pytest.raises(ValueError):
-        most_fractional_branch(node, [1.0, 2.0], {0, 1})
+        most_fractional_branch((0, 1), [1.0, 2.0], {0, 1})
 
 
 def test_most_fractional_respects_free_set():
-    node = NodeRestriction(free=(1,), fixed={0: 1.0}, lb=np.zeros(1), ub=np.ones(1))
-    assert most_fractional_branch(node, [0.4], {0, 1}) == 1
+    # variable 0 is fixed: only variable 1 is a candidate
+    assert most_fractional_branch((1,), [0.4], {0, 1}) == 1
 
 
 # ------------------------------------------------------------------ properties

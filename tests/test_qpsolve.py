@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectralqp import oracle, problem, qpsolve
+from spectralqp import bnb, oracle, problem, qpsolve
 from spectralqp.relaxation import ConvexQpModel, NodeInfeasible
 
 
@@ -270,10 +270,10 @@ def test_lp_bogus_infeasibility_certifies_nothing(monkeypatch):
 
 
 def test_lp_past_deadline_stops_with_a_valid_bound():
-    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict
 
     prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=20, k=5, seed=0))
-    model = build_mccormick_relaxation(restrict(prob, root_restriction(prob)))
+    model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
     ref = qpsolve.solve_lp(model)
     assert ref.status == qpsolve.STATUS_OPTIMAL and ref.iterations > 0
     sol = qpsolve.solve_lp(model, deadline=time.monotonic() - 1.0)
@@ -286,20 +286,14 @@ def _small_lps(family, n, seed, shrink):
     """The root McCormick LP and the direction LPs of a small generated
     instance, its box shrunk toward a random point by `shrink`."""
     from spectralqp.relaxation import (
-        NodeRestriction, build_mccormick_relaxation, build_separable_relaxation, restrict,
+        build_mccormick_relaxation, build_separable_relaxation, restrict,
     )
 
     kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": 1} if family == "eiqp" else {}
     prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
     rng = np.random.default_rng(seed)
     mid = rng.uniform(prob.lb, prob.ub)
-    node = NodeRestriction(
-        free=tuple(range(prob.n)),
-        fixed={},
-        lb=prob.lb + shrink * (mid - prob.lb),
-        ub=prob.ub - shrink * (prob.ub - mid),
-    )
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb + shrink * (mid - prob.lb), prob.ub - shrink * (prob.ub - mid))
     models = [build_mccormick_relaxation(R)]
 
     def record(lp):
@@ -402,7 +396,8 @@ def test_nullspace_convex_qp_matches_a_full_dimensional_reference():
         q = rng.uniform(-2, 2, n)
         model = make_model(Q, q, A=A, b=A @ rng.uniform(-0.5, 0.5, n))
         sol = qpsolve.solve_convex_qp(model)
-        assert sol.status == qpsolve.STATUS_OPTIMAL and sol.kkt.passed
+        assert sol.status == qpsolve.STATUS_OPTIMAL
+        assert qpsolve.verify_kkt(model, sol).passed
         best = _model_optimum(model)
         assert sol.objective == pytest.approx(best, abs=1e-6)
         assert best - 1e-6 * (1.0 + abs(best)) <= sol.bound <= best
@@ -517,36 +512,6 @@ def test_kkt_stationarity_with_every_row_kind():
     assert not rep.passed
 
 
-def test_every_optimal_solve_carries_its_kkt_report():
-    # the report is attached after the solve, for QPs on the full and the
-    # reduced path, a QP whose phase 1 is a HiGHS LP, and a McCormick LP;
-    # a solve that stops short of optimal carries none
-    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
-
-    full = make_model(
-        np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([0.7, -1.3]),
-        A=[[1.1, 3.3]], b=[1.0], lb=[-5.0, -5.0], ub=[5.0, 5.0],
-    )
-    reduced = _root_qp("eiqp", 4, 0, "eigz", m=1)
-    assert reduced.A.shape[0] and np.linalg.eigvalsh(reduced.Q)[0] < -qpsolve.PSD_SLACK
-    rows = _node_qps("cbqp", 6, 3, 0.3, 1)[0]
-    assert rows.C.shape[0] == 2
-    prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=5, k=2, seed=3))
-    lp = build_mccormick_relaxation(restrict(prob, root_restriction(prob)))
-    sols = [(model, qpsolve.solve_convex_qp(model, **kw))
-            for model in (full, reduced, rows)
-            for kw in ({}, {"tol": 1e-30, "max_iter": 1})]
-    sols.append((lp, qpsolve.solve_lp(lp)))
-    statuses = [sol.status for _, sol in sols]
-    assert statuses.count(qpsolve.STATUS_OPTIMAL) == 4
-    assert statuses.count(qpsolve.STATUS_MAXITER) == 3
-    for model, sol in sols:
-        if sol.status == qpsolve.STATUS_OPTIMAL:
-            assert sol.kkt == qpsolve.verify_kkt(model, sol)
-        else:
-            assert sol.kkt is None
-
-
 # -------------------------------------------------------- max_iter and bounds
 
 
@@ -561,7 +526,6 @@ def test_max_iter_bound_is_lagrangian_bound():
     assert ref.status == qpsolve.STATUS_OPTIMAL
     starved = qpsolve.solve_convex_qp(model, tol=1e-30, max_iter=25)
     assert starved.status == qpsolve.STATUS_MAXITER
-    assert starved.kkt is None
     # weak duality: the Lagrangian bound never exceeds the optimum
     assert starved.bound <= ref.objective + 1e-9
 
@@ -584,10 +548,10 @@ def test_max_iter_bound_validity_random():
 def test_optimal_bound_is_guarded_objective():
     model = make_model([[1.0]], [-2.0], offset=5.0, lb=[0.0], ub=[2.0])
     sol = qpsolve.solve_convex_qp(model)
-    assert sol.kkt.passed
+    rep = qpsolve.verify_kkt(model, sol)
+    assert rep.passed
     # the bound at a KKT point sits below the objective by at most the
     # rounding guard plus what the residuals leave open
-    rep = sol.kkt
     slack = max(rep.stationarity, rep.primal, rep.complementarity, rep.dual_violation)
     assert sol.bound <= sol.objective
     assert sol.objective - sol.bound <= (10.0 * qpsolve.BOUND_GUARD + slack) * (
@@ -596,17 +560,25 @@ def test_optimal_bound_is_guarded_objective():
 
 
 def test_kkt_failed_optimal_keeps_its_bound(monkeypatch):
-    model = make_model(
-        np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([0.7, -1.3]),
-        A=[[1.1, 3.3]], b=[1.0], lb=[-5.0, -5.0], ub=[5.0, 5.0],
-    )
-    ref = qpsolve.solve_convex_qp(model)
-    failed = qpsolve.KktReport(1.0, 0.0, 0.0, 0.0, False)
-    monkeypatch.setattr(qpsolve, "verify_kkt", lambda model, sol: failed)
-    sol = qpsolve.solve_convex_qp(model)
-    assert sol.status == qpsolve.STATUS_OPTIMAL and sol.kkt is failed
-    assert math.isfinite(sol.bound)
-    assert sol.bound <= ref.objective + 1e-9
+    # bnb checks the KKT report of every optimal node solve: a failed one
+    # counts as a discard, and the node still uses its certified bound
+    prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=8, k=2, seed=0))
+    cfg = bnb.SolverConfig(relaxation="eig")
+    ref = bnb.solve(prob, cfg)
+    assert ref.stats["kkt_discards"] == 0 and ref.stats["max_accepted_kkt"] > 0.0
+    checked = []
+
+    def failed(model, sol):
+        checked.append(sol.status)
+        return qpsolve.KktReport(1.0, 0.0, 0.0, 0.0, False)
+
+    monkeypatch.setattr(qpsolve, "verify_kkt", failed)
+    res = bnb.solve(prob, cfg)
+    assert set(checked) == {qpsolve.STATUS_OPTIMAL}
+    assert res.stats["kkt_discards"] == len(checked) > 0
+    assert res.stats["max_accepted_kkt"] == 0.0
+    assert res.trace == ref.trace
+    assert (res.nodes, res.f_ubd, res.f_lbd) == (ref.nodes, ref.f_ubd, ref.f_lbd)
 
 
 def test_indefinite_q_with_equality_rows_takes_the_reduced_path():
@@ -623,7 +595,7 @@ def test_kkt_failed_reduced_solve_keeps_a_valid_bound(monkeypatch):
     # Q is indefinite in full space but convex on the nullspace of A; the
     # optimum is x = (0, 0.5), value -0.25
     model = make_model(np.diag([1.0, -1.0]), np.zeros(2), A=[[0.0, 1.0]], b=[0.5])
-    assert qpsolve.solve_convex_qp(model).kkt.passed
+    assert qpsolve.verify_kkt(model, qpsolve.solve_convex_qp(model)).passed
     monkeypatch.setattr(
         qpsolve, "verify_kkt", lambda model, sol: qpsolve.KktReport(1.0, 0.0, 0.0, 0.0, False)
     )
@@ -632,13 +604,10 @@ def test_kkt_failed_reduced_solve_keeps_a_valid_bound(monkeypatch):
 
 
 def _root_qp(family, n, seed, mode, **kw):
-    from spectralqp.relaxation import (
-        build_spectral_relaxation, restrict, root_restriction, shift_for_mode,
-    )
+    from spectralqp.relaxation import build_spectral_relaxation, restrict, shift_for_mode
 
     prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
-    node = root_restriction(prob)
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb, prob.ub)
     return build_spectral_relaxation(R, shift_for_mode(mode, R.Q, R.A))
 
 
@@ -658,7 +627,6 @@ def test_separable_root_qp_converges():
     # the regularized KKT solves must still make progress on singular faces
     from spectralqp.relaxation import (
         build_separable_relaxation, build_spectral_relaxation, compute_shift_eig, restrict,
-        root_restriction,
     )
 
     spec = problem.GeneratorSpec(family="cbqp", n=8, density=0.25, k=2, seed=0)
@@ -668,8 +636,7 @@ def test_separable_root_qp_converges():
         n=prob.n, Q=prob.Q, q=prob.q, C=np.vstack([row, -row]), d=[spec.k, -spec.k],
         lb=prob.lb, ub=prob.ub, integers=prob.integers,
     )
-    node = root_restriction(prob)
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb, prob.ub)
     model = build_spectral_relaxation(R, compute_shift_eig(R.Q))
     assert model.C.shape[0] == 2
     assert np.linalg.eigvalsh(model.Q)[0] <= 1e-9 * np.abs(model.Q).max()
@@ -679,7 +646,7 @@ def test_separable_root_qp_converges():
 
     # the separable model lives over the node's own variables
     prob = problem.generate_random(problem.GeneratorSpec(family="eiqp", n=6, m=1, seed=209))
-    model = build_separable_relaxation(restrict(prob, root_restriction(prob)), qpsolve.solve_lp)
+    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
     assert model.nvar == 6
     assert qpsolve.solve_convex_qp(model).status == qpsolve.STATUS_OPTIMAL
 
@@ -747,11 +714,11 @@ def _model_optimum(model):
     st.integers(0, 10_000),
 )
 def test_bound_never_exceeds_the_model_optimum(family, n, seed):
-    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict
 
     kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": 1} if family == "eiqp" else {}
     prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
-    lp = build_mccormick_relaxation(restrict(prob, root_restriction(prob)))
+    lp = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
     models = [_root_qp(family, n, seed, mode, **kw) for mode in ("eig", "geig", "eigz")]
     for model in models + [lp]:
         best = _model_optimum(model)
@@ -793,7 +760,7 @@ def test_slope_certifies_every_better_point(family, n, seed):
     # every feasible x', for root QPs (eigz ones mostly on the reduced path),
     # truncated or not, and McCormick LPs; tightened_box keeps every point
     # whose objective is below the cutoff
-    from spectralqp.relaxation import build_mccormick_relaxation, restrict, root_restriction
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict
 
     kw = (
         {"k": max(1, n // 3)} if family == "cbqp"
@@ -810,7 +777,7 @@ def test_slope_certifies_every_better_point(family, n, seed):
         for mode in ("eig", "geig", "eigz")
         for max_iter in (10, 50, qpsolve.DEFAULT_MAX_ITER)
     ]
-    R = restrict(prob, root_restriction(prob))
+    R = restrict(prob, prob.lb, prob.ub)
     sols.append(qpsolve.solve_lp(build_mccormick_relaxation(R)))
     for sol in sols:
         assert sol.status != qpsolve.STATUS_INFEASIBLE
@@ -843,8 +810,7 @@ def _node_qps(family, n, seed, shrink, m):
     whose box is shrunk toward a random point by `shrink`; a cbqp writes its
     cardinality row as two C rows, so that its QPs carry inequality rows."""
     from spectralqp.relaxation import (
-        NodeRestriction, build_separable_relaxation, build_spectral_relaxation, restrict,
-        shift_for_mode,
+        build_separable_relaxation, build_spectral_relaxation, restrict, shift_for_mode,
     )
 
     kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": m} if family == "eiqp" else {}
@@ -857,11 +823,7 @@ def _node_qps(family, n, seed, shrink, m):
         )
     rng = np.random.default_rng(seed)
     mid = rng.uniform(prob.lb, prob.ub)
-    node = NodeRestriction(
-        free=tuple(range(n)), fixed={},
-        lb=prob.lb + shrink * (mid - prob.lb), ub=prob.ub - shrink * (prob.ub - mid),
-    )
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb + shrink * (mid - prob.lb), prob.ub - shrink * (prob.ub - mid))
     models = [
         build_spectral_relaxation(R, shift_for_mode(mode, R.Q, R.A))
         for mode in ("eig", "geig", "eigz")
@@ -889,7 +851,8 @@ def test_active_set_solves_every_relaxation_qp(family, n, seed, shrink, m):
         sol = qpsolve.solve_convex_qp(model)
         assert sol.status != qpsolve.STATUS_MAXITER, (model.kind, sol.iterations)
         if sol.status == qpsolve.STATUS_OPTIMAL:
-            assert sol.kkt.passed, (model.kind, sol.kkt)
+            rep = qpsolve.verify_kkt(model, sol)
+            assert rep.passed, (model.kind, rep)
             # no gap beyond rounding: relative to the objective and to the
             # multiplier terms, whose magnitude sets the bound's own guard
             scale = 1.0 + abs(sol.objective) + np.abs(sol.nu) @ np.abs(model.b) + sol.mu @ np.abs(model.d)
@@ -910,7 +873,7 @@ def test_degenerate_vertex_with_tied_multipliers(rows):
         0.5 * np.eye(4), -3.0 * np.ones(4), lb=[0.0, 0.0, 0.0, 0.5], ub=[1.0, 1.0, 1.0, 0.5], **kw
     )
     sol = qpsolve.solve_convex_qp(model)
-    assert sol.status == qpsolve.STATUS_OPTIMAL and sol.kkt.passed
+    assert sol.status == qpsolve.STATUS_OPTIMAL and qpsolve.verify_kkt(model, sol).passed
     assert sol.iterations <= 10
     assert np.allclose(sol.x, [1.0, 1.0, 1.0, 0.5], atol=1e-9)
     assert sol.objective == pytest.approx(-8.875, abs=1e-9)

@@ -17,7 +17,6 @@ from spectralqp.relaxation import (
     KIND_GEIG,
     KIND_NONE,
     NodeInfeasible,
-    NodeRestriction,
     SpectralShift,
     build_mccormick_relaxation,
     build_separable_relaxation,
@@ -28,8 +27,8 @@ from spectralqp.relaxation import (
     compute_shift_eigz_exact,
     compute_shift_geig,
     relaxed_objective_at,
+    free_indices,
     restrict,
-    root_restriction,
 )
 
 
@@ -61,7 +60,7 @@ def rand_sym(rng, n, scale=5.0):
 
 def test_restrict_root_is_identity():
     prob = worked_instance()
-    R = restrict(prob, root_restriction(prob))
+    R = restrict(prob, prob.lb, prob.ub)
     assert R.kind == "node"
     assert np.array_equal(R.Q, prob.Q)
     assert np.array_equal(R.q, prob.q)
@@ -74,8 +73,7 @@ def test_restrict_root_is_identity():
 def test_restrict_fixed_value_worked():
     # Q = [[2,-3],[-3,2]], fix x2 = 1: Q = [2], q = q1 + 2*Q12 = -6, offset = 2
     prob = box_problem([[2.0, -3.0], [-3.0, 2.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    node = NodeRestriction(free=(0,), fixed={1: 1.0}, lb=np.array([0.0]), ub=np.array([1.0]))
-    R = restrict(prob, node)
+    R = restrict(prob, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     assert R.Q.shape == (1, 1) and R.Q[0, 0] == 2.0
     assert R.q[0] == -6.0
     assert R.offset == 2.0
@@ -96,15 +94,21 @@ def test_restrict_updates_rows():
         lb=np.zeros(3),
         ub=np.ones(3),
     )
-    node = NodeRestriction(
-        free=(0, 2), fixed={1: 0.25}, lb=np.zeros(2), ub=np.ones(2)
-    )
-    R = restrict(prob, node)
+    R = restrict(prob, np.array([0.0, 0.25, 0.0]), np.array([1.0, 0.25, 1.0]))
     assert np.allclose(R.A, [[1.0, 1.0]])
     assert np.allclose(R.b, [0.75])
     assert np.allclose(R.C, [[0.0, 2.0]])
     assert np.allclose(R.d, [1.75])
     assert R.offset == pytest.approx(0.0625)
+
+
+def test_a_point_range_fixes_the_variable():
+    lb, ub = np.array([0.0, 1.0, -2.0, 3.0]), np.array([1.0, 1.0, -1.5, 3.0])
+    assert free_indices(lb, ub).tolist() == [0, 2]
+    prob = box_problem(np.eye(4), lb=[0.0, 0.0, -2.0, 0.0], ub=[1.0, 1.0, 0.0, 3.0])
+    R = restrict(prob, lb, ub)
+    assert R.nvar == 2 and R.offset == 10.0
+    assert np.array_equal(R.lb, [0.0, -2.0]) and np.array_equal(R.ub, [1.0, -1.5])
 
 
 # --------------------------------------------------------------------- shifts
@@ -149,7 +153,7 @@ def test_shift_eigz_exact_full_row_rank_square():
 
 def test_shift_ordering_worked():
     prob = worked_instance()
-    R = restrict(prob, root_restriction(prob))
+    R = restrict(prob, prob.lb, prob.ub)
     a_e = compute_shift_eig(R.Q).alpha
     a_g = compute_shift_geig(R.Q, R.A).alpha
     a_z = compute_shift_eigz_exact(R.Q, R.A).alpha
@@ -254,8 +258,7 @@ def test_alpha_delta_never_increases():
 
 def test_eig_model_worked_bound():
     prob = worked_instance()
-    node = root_restriction(prob)
-    model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
+    model = build_spectral_relaxation(restrict(prob, prob.lb, prob.ub), compute_shift_eig(prob.Q))
     assert np.allclose(model.Q, np.diag([2.0, 0.0]))
     assert np.allclose(model.q, np.zeros(2))
     assert model.offset == pytest.approx(-2.0)
@@ -267,8 +270,7 @@ def test_eig_model_worked_bound():
 
 def test_geig_model_worked_bound():
     prob = worked_instance()
-    node = root_restriction(prob)
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb, prob.ub)
     model = build_spectral_relaxation(R, compute_shift_geig(R.Q, R.A))
     assert np.allclose(model.Q, np.diag([1.5, 0.0]))
     assert np.allclose(model.q, np.zeros(2))
@@ -280,8 +282,7 @@ def test_geig_model_worked_bound():
 
 def test_eigz_model_worked_bound():
     prob = worked_instance()
-    node = root_restriction(prob)
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb, prob.ub)
     model = build_spectral_relaxation(R, compute_shift_eigz_exact(R.Q, R.A))
     # zero shift keeps Q indefinite, so the model is only nullspace convex
     assert np.allclose(model.Q, prob.Q)
@@ -295,8 +296,7 @@ def test_eigz_model_worked_bound():
 
 def test_delta_model_worked_bound():
     prob = worked_instance()
-    node = root_restriction(prob)
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb, prob.ub)
     shift, _ = compute_shift_eigz_approx(R.Q, R.A)
     model = build_spectral_relaxation(R, shift)
     # diagonal form only: delta enters through alpha, never through A'A
@@ -309,8 +309,7 @@ def test_delta_model_worked_bound():
 def test_bound_ordering_worked():
     # eig <= geig <= eigz on the worked instance: -2 <= -1 <= 0
     prob = worked_instance()
-    node = root_restriction(prob)
-    R = restrict(prob, node)
+    R = restrict(prob, prob.lb, prob.ub)
     vals = []
     for shift in (
         compute_shift_eig(R.Q),
@@ -326,8 +325,7 @@ def test_bound_ordering_worked():
 def test_eig_bound_bilinear_quarter():
     # min 2 x1 x2 on [0,1]^2: eig relaxation value is -1/4
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    node = root_restriction(prob)
-    model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
+    model = build_spectral_relaxation(restrict(prob, prob.lb, prob.ub), compute_shift_eig(prob.Q))
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-0.25, abs=1e-7)
@@ -336,8 +334,7 @@ def test_eig_bound_bilinear_quarter():
 def test_child_node_model_convex_restriction():
     # fixing x2 = 1 on Q = [[2,-3],[-3,2]] leaves a convex 1d subproblem
     prob = box_problem([[2.0, -3.0], [-3.0, 2.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    node = NodeRestriction(free=(0,), fixed={1: 1.0}, lb=np.array([0.0]), ub=np.array([1.0]))
-    R = restrict(prob, node)
+    R = restrict(prob, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     shift = compute_shift_eig(R.Q)
     assert shift.alpha == 0.0
     model = build_spectral_relaxation(R, shift)
@@ -350,9 +347,8 @@ def test_child_node_model_convex_restriction():
 
 def test_none_kind_keeps_data():
     prob = box_problem(np.eye(2), q=[1.0, -1.0])
-    node = root_restriction(prob)
     shift = SpectralShift(KIND_NONE, 0.0, 1.0, np.zeros(2))
-    model = build_spectral_relaxation(restrict(prob, node), shift)
+    model = build_spectral_relaxation(restrict(prob, prob.lb, prob.ub), shift)
     assert np.allclose(model.Q, prob.Q)
     assert np.allclose(model.q, prob.q)
     assert model.offset == 0.0
@@ -363,8 +359,8 @@ def test_spectral_underestimates_on_box():
     for _ in range(15):
         n = int(rng.integers(2, 6))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
-        node = root_restriction(prob)
-        model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
+        R = restrict(prob, prob.lb, prob.ub)
+        model = build_spectral_relaxation(R, compute_shift_eig(prob.Q))
         for _ in range(20):
             x = rng.uniform(prob.lb, prob.ub)
             assert relaxed_objective_at(model, x) <= problem.evaluate_objective(
@@ -378,9 +374,8 @@ def test_spectral_alpha_bb_identity():
     for _ in range(10):
         n = int(rng.integers(2, 6))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
-        node = root_restriction(prob)
         shift = compute_shift_eig(prob.Q)
-        model = build_spectral_relaxation(restrict(prob, node), shift)
+        model = build_spectral_relaxation(restrict(prob, prob.lb, prob.ub), shift)
         for _ in range(10):
             x = rng.uniform(prob.lb - 0.5, prob.ub + 0.5)
             expect = problem.evaluate_objective(prob, x) - shift.alpha * float(
@@ -395,8 +390,8 @@ def test_spectral_exact_at_binary_points():
     for _ in range(10):
         n = int(rng.integers(2, 5))
         prob = box_problem(rand_sym(rng, n), lb=np.zeros(n), ub=np.ones(n))
-        node = root_restriction(prob)
-        model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
+        R = restrict(prob, prob.lb, prob.ub)
+        model = build_spectral_relaxation(R, compute_shift_eig(prob.Q))
         for _ in range(8):
             x = rng.integers(0, 2, n).astype(float)
             assert relaxed_objective_at(model, x) == pytest.approx(
@@ -411,8 +406,7 @@ def test_geig_underestimates_on_manifold():
         Q = rand_sym(rng, n)
         A = rng.uniform(-1, 1, size=(1, n))
         prob = box_problem(Q, A=A, b=[0.0])
-        node = root_restriction(prob)
-        R = restrict(prob, node)
+        R = restrict(prob, prob.lb, prob.ub)
         model = build_spectral_relaxation(R, compute_shift_geig(R.Q, R.A))
         Z = linalg.nullspace_basis(A)
         for _ in range(20):
@@ -430,8 +424,7 @@ def test_geig_underestimates_on_manifold():
 
 def test_mccormick_bilinear_structure_and_bound():
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    node = root_restriction(prob)
-    model = build_mccormick_relaxation(restrict(prob, node))
+    model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
     info = model.mccormick
     assert info.pairs == [(0, 0), (1, 1), (0, 1)]
     assert np.allclose(info.coeffs, [0.0, 0.0, 2.0])
@@ -444,8 +437,7 @@ def test_mccormick_bilinear_structure_and_bound():
 
 def test_mccormick_negative_square_bound():
     prob = box_problem([[-1.0]], lb=[0.0], ub=[1.0])
-    node = root_restriction(prob)
-    model = build_mccormick_relaxation(restrict(prob, node))
+    model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
     sol = qpsolve.solve_lp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-1.0, abs=1e-7)
@@ -456,8 +448,7 @@ def test_mccormick_negative_square_bound():
 
 def test_mccormick_skips_zero_offdiagonals():
     prob = box_problem(np.diag([1.0, -2.0, 3.0]))
-    node = root_restriction(prob)
-    model = build_mccormick_relaxation(restrict(prob, node))
+    model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
     assert model.mccormick.pairs == [(0, 0), (1, 1), (2, 2)]
 
 
@@ -466,8 +457,7 @@ def test_mccormick_underestimates():
     for _ in range(10):
         n = int(rng.integers(2, 5))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
-        node = root_restriction(prob)
-        model = build_mccormick_relaxation(restrict(prob, node))
+        model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
         for _ in range(20):
             x = rng.uniform(prob.lb, prob.ub)
             assert relaxed_objective_at(model, x) <= problem.evaluate_objective(
@@ -485,8 +475,7 @@ def test_mccormick_keeps_problem_rows():
         lb=[0.0, 0.0],
         ub=[1.0, 1.0],
     )
-    node = root_restriction(prob)
-    model = build_mccormick_relaxation(restrict(prob, node))
+    model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
     assert model.A.shape == (1, model.nvar)
     assert np.allclose(model.A[0, : 2], [1.0, 1.0])
     assert np.allclose(model.A[0, 2:], 0.0)
@@ -498,8 +487,7 @@ def test_mccormick_keeps_problem_rows():
 
 def test_separable_bilinear_half():
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    node = root_restriction(prob)
-    model = build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
+    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
     info = model.separable
     assert np.allclose(info.lam, [-1.0], atol=1e-12)
     r = 1.0 / np.sqrt(2.0)
@@ -514,14 +502,13 @@ def test_separable_drops_zero_eigendirections():
     # PSD Q (eigenvalues 0 and 2): no secant direction, so no direction LP,
     # and the model is Q itself over the node's own variables and rows
     prob = box_problem([[1.0, 1.0], [1.0, 1.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    node = root_restriction(prob)
     lps = []
 
     def record(lp):
         lps.append(lp)
         return qpsolve.solve_lp(lp)
 
-    model = build_separable_relaxation(restrict(prob, node), record)
+    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), record)
     assert lps == []
     assert model.separable.lam.shape == (0,)
     assert np.allclose(model.Q, prob.Q, atol=1e-12)
@@ -539,10 +526,7 @@ def test_separable_objective_is_the_secant_formula():
         rand_sym(rng, n), q=rng.uniform(-2, 2, n),
         A=[rng.uniform(0.5, 1.5, n)], b=[1.5], lb=np.zeros(n), ub=np.ones(n),
     )
-    node = NodeRestriction(
-        free=(0, 1, 3), fixed={2: 0.5}, lb=np.zeros(3), ub=np.ones(3)
-    )
-    R = restrict(prob, node)
+    R = restrict(prob, np.array([0.0, 0.0, 0.5, 0.0]), np.array([1.0, 1.0, 0.5, 1.0]))
     model = build_separable_relaxation(R, qpsolve.solve_lp)
     info = model.separable
     assert model.nvar == 3 and model.A.shape == (1, 3)
@@ -562,8 +546,7 @@ def test_separable_underestimates():
     for _ in range(8):
         n = int(rng.integers(2, 5))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
-        node = root_restriction(prob)
-        model = build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
+        model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
         for _ in range(20):
             x = rng.uniform(prob.lb, prob.ub)
             assert relaxed_objective_at(model, x) <= problem.evaluate_objective(
@@ -575,9 +558,8 @@ def test_separable_infeasible_node_raises():
     prob = box_problem(
         [[0.0, 1.0], [1.0, 0.0]], A=[[1.0, 1.0]], b=[3.0], lb=[0.0, 0.0], ub=[1.0, 1.0]
     )
-    node = root_restriction(prob)
     with pytest.raises(NodeInfeasible):
-        build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
+        build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
 
 
 def test_separable_tighter_than_interval_arithmetic():
@@ -589,8 +571,7 @@ def test_separable_tighter_than_interval_arithmetic():
         lb=[0.0, 0.0],
         ub=[1.0, 1.0],
     )
-    node = root_restriction(prob)
-    model = build_separable_relaxation(restrict(prob, node), qpsolve.solve_lp)
+    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
     info = model.separable
     # direction (1,-1)/sqrt(2): over x1 = 0.25, range is [(0.25-1), 0.25]/sqrt(2)
     r = 1.0 / np.sqrt(2.0)
@@ -604,21 +585,20 @@ def test_separable_direction_bounds_come_from_certified_bound():
     prob = box_problem(
         [[0.0, 1.0], [1.0, 0.0]], A=[[1.0, 0.0]], b=[0.25], lb=[0.0, 0.0], ub=[1.0, 1.0]
     )
-    node = root_restriction(prob)
     r = 1.0 / np.sqrt(2.0)
 
     def truncated(lp):
         sol = qpsolve.solve_lp(lp)
         return dataclasses.replace(sol, status=qpsolve.STATUS_MAXITER, x=None)
 
-    info = build_separable_relaxation(restrict(prob, node), truncated).separable
+    info = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), truncated).separable
     assert info.L[0] == pytest.approx(-0.75 * r, abs=1e-6)
     assert info.U[0] == pytest.approx(0.25 * r, abs=1e-6)
 
     def uncertified(lp):
         return dataclasses.replace(qpsolve.solve_lp(lp), bound=-math.inf)
 
-    info = build_separable_relaxation(restrict(prob, node), uncertified).separable
+    info = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), uncertified).separable
     assert info.L[0] == pytest.approx(-r, abs=1e-6)
     assert info.U[0] == pytest.approx(r, abs=1e-6)
 
@@ -646,6 +626,5 @@ def test_shift_ordering_property(n, seed):
 def test_eig_shift_makes_model_convex(n, seed):
     rng = np.random.default_rng(seed)
     prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
-    node = root_restriction(prob)
-    model = build_spectral_relaxation(restrict(prob, node), compute_shift_eig(prob.Q))
+    model = build_spectral_relaxation(restrict(prob, prob.lb, prob.ub), compute_shift_eig(prob.Q))
     assert linalg.sym_eig_min(model.Q).value >= -1e-8
