@@ -10,12 +10,14 @@ is tested again when that improved the incumbent, and is otherwise branched
 into copies of its box with one variable's range edited: binary variables
 fixed (their range made a point) through the spectral rules, general
 integers split by most-fractional, continuous nonconvex variables narrowed
-by envelope-violation spatial splits.  One smallest eigenpair of the node's
+by envelope-violation spatial splits.  One eigendecomposition of the node's
 Q decides its shift: convex nodes (Q restricted PSD, or PSD on the equality
 nullspace) skip the shift and solve the plain relaxation, and every other
-node takes its mode's shift.  The eigz pencils (Q, I + delta A'A), also the
-QP class of AUTO, share one delta per run, found by the geometric search on
-the root's data before the first node.
+node takes its mode's shift.  The nullspace test runs only where Cauchy
+interlacing, lambda_min(Z'QZ) <= lambda_{1+m}(Q) for m rows, leaves it
+open.  The eigz pencils (Q, I + delta A'A), also the QP class of AUTO, share
+one delta per run, found by the geometric search on the root's data before
+the first node.
 
 In AUTO mode the engine arbitrates between the spectral QP and the McCormick
 LP with per-class solve intervals omega: a relaxation runs when at least
@@ -187,24 +189,46 @@ def _cardinality_row(problem: ProblemInstance):
     return int(round(k))
 
 
+@dataclass(frozen=True, eq=False)
+class _Structure:
+    """What the node loop reads of the problem, computed once per solve."""
+
+    ints: np.ndarray          # mask of the integer variables
+    integers: np.ndarray      # their indices, ascending
+    binary: bool              # problem.is_pure_binary()
+    cardinality: int | None   # k of a cardinality row sum(x) = k, or None
+    pg_step: float            # 1 / (2 ||Q||_2): the gradient's inverse Lipschitz constant
+
+
+def _structure(problem: ProblemInstance) -> _Structure:
+    ints = np.zeros(problem.n, dtype=bool)
+    ints[list(problem.integers)] = True
+    return _Structure(
+        ints=ints,
+        integers=np.flatnonzero(ints),
+        binary=problem.is_pure_binary(),
+        cardinality=_cardinality_row(problem),
+        pg_step=1.0 / (2.0 * float(np.linalg.norm(problem.Q, ord=2)) + 1e-12),
+    )
+
+
 def upper_bound_heuristic(
     problem: ProblemInstance,
     x0: np.ndarray,
     free: np.ndarray,
     f_ubd: float,
-    pg_step: float,
+    structure: _Structure,
 ):
     """Cheap incumbent candidates from a relaxation point x0 over all n
     variables (the node's fixed values filled in, `free` its free
     variables): top-k rounding for cardinality-constrained binaries,
     threshold rounding otherwise, nearest rounding for general integers, and
-    <= 100 projected-gradient steps of length `pg_step` (1/(2 ||Q||_2), the
-    inverse Lipschitz constant of the gradient) on the box for purely
-    continuous problems.  Returns (value, x) for the best feasible improving
-    candidate, else None."""
+    <= 100 projected-gradient steps of length `structure.pg_step` on the box
+    for purely continuous problems.  Returns (value, x) for the best
+    feasible improving candidate, else None."""
     candidates = []
     if problem.integers:
-        k = _cardinality_row(problem)
+        k = structure.cardinality
         if k is not None:
             xc = x0.copy()
             xc[free] = 0.0
@@ -214,14 +238,14 @@ def upper_bound_heuristic(
                 xc[free[order[:k_eff]]] = 1.0
                 candidates.append(xc)
         xr = x0.copy()
-        idx = sorted(problem.integers)
-        if problem.is_pure_binary():
+        idx = structure.integers
+        if structure.binary:
             xr[idx] = np.where(xr[idx] >= 0.5, 1.0, 0.0)
         else:
             xr[idx] = np.clip(np.round(xr[idx]), problem.lb[idx], problem.ub[idx])
         candidates.append(xr)
     elif problem.m == 0 and problem.p == 0:
-        xg = np.clip(x0, problem.lb, problem.ub)
+        xg, pg_step = np.clip(x0, problem.lb, problem.ub), structure.pg_step
         for _ in range(PG_STEPS):
             grad = 2.0 * (problem.Q @ xg) + problem.q
             nxt = np.minimum(np.maximum(xg - pg_step * grad, problem.lb), problem.ub)
@@ -255,8 +279,7 @@ class _Engine:
             shift, self.delta_trace = compute_shift_eigz_approx(problem.Q, problem.A)
             self.root_delta = shift.delta
         self.certified: list = []     # the current node's solves with a finite bound
-        # step of the heuristic's projected gradient: 1 / Lipschitz constant
-        self.pg_step = 1.0 / (2.0 * float(np.linalg.norm(problem.Q, ord=2)) + 1e-12)
+        self.structure = _structure(problem)
         self.stats = {
             "qp_solves": 0,
             "lp_solves": 0,
@@ -272,14 +295,22 @@ class _Engine:
     # ------------------------------------------------------------- relaxation
 
     def _shift(self, R: ConvexQpModel) -> SpectralShift | None:
-        """The node's shift, from one smallest eigenpair of R.Q: zero
+        """The node's shift, from one eigendecomposition of R.Q: zero
         (KIND_NONE) when R.Q is PSD, or PSD on the nullspace of the node's
         equality rows; else None in mccormick mode and the mode's shift
-        otherwise, eigz and auto at the run's delta."""
+        otherwise, eigz and auto at the run's delta.  The nullspace test
+        runs only where the spectrum of R.Q leaves it open."""
         pair = linalg.sym_eig_min(R.Q)
-        if pair.value >= -CONVEX_TOL or (
-            R.A.shape[0] and compute_shift_eigz_exact(R.Q, R.A).lam >= -CONVEX_TOL
-        ):
+        m = R.A.shape[0]
+        convex = pair.value >= -CONVEX_TOL
+        if not convex and m:
+            # Cauchy interlacing: lambda_min(Z'QZ) <= lambda_{1+m}(Q) for the
+            # nullspace Z of m rows, so the spectrum at hand settles most
+            # nonconvex nodes without the exact test
+            convex = (m >= R.nvar or pair.values[m] >= -CONVEX_TOL) and (
+                compute_shift_eigz_exact(R.Q, R.A).lam >= -CONVEX_TOL
+            )
+        if convex:
             self.stats["convex_nodes"] += 1
             return SpectralShift(KIND_NONE, 0.0, pair.value, pair.vector)
         if self.config.relaxation == MODE_MCCORMICK:
@@ -401,17 +432,17 @@ def _tighten_children(ints, lb, ub, free, children, certified, cutoff):
     return kept, fixings
 
 
-def _branch_children(problem, config, ints, entry, free, R, x_rel, shift):
+def _branch_children(problem, config, structure, entry, free, R, x_rel, shift):
     """The child boxes of the node `entry`, whose free variables are `free`
     and whose model is R; returns (children, branch_index)."""
     lb, ub = entry.lb, entry.ub
     x_rel = np.asarray(x_rel, dtype=float)
-    free_int = free[ints[free]]
+    free_int = free[structure.ints[free]]
     rule = config.branch_rule
 
     if free_int.size:
         idx = None
-        binary = problem.is_pure_binary()
+        binary = structure.binary
         if binary and free.size >= 2 and rule != "fractional":
             try:
                 if rule == "exact":
@@ -463,8 +494,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     trace = [] if cfg.keep_trace else None
     order = 0
     heap = []
-    ints = np.zeros(problem.n, dtype=bool)
-    ints[list(problem.integers)] = True
+    ints = eng.structure.ints
     root = _Node(lb=problem.lb, ub=problem.ub, bound=-math.inf, depth=0, order=0)
     heapq.heappush(heap, (root.bound, root.order, root))
     nodes_done = 0
@@ -558,7 +588,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         if x_rel is not None:
             x = lb.copy()
             x[free] = x_rel
-            cand = upper_bound_heuristic(problem, x, free, f_ubd, eng.pg_step)
+            cand = upper_bound_heuristic(problem, x, free, f_ubd, eng.structure)
             if cand is not None:
                 try_incumbent(*cand)
                 eng.stats["heuristic_hits"] += 1
@@ -567,7 +597,9 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
 
         if x_rel is None:
             x_rel = 0.5 * (R.lb + R.ub)
-        children, branch_var = _branch_children(problem, cfg, ints, entry, free, R, x_rel, shift)
+        children, branch_var = _branch_children(
+            problem, cfg, eng.structure, entry, free, R, x_rel, shift
+        )
         record(entry, node_bound, kind, branch_var, "branch")
         if math.isfinite(f_ubd) and eng.certified:
             children, fixings = _tighten_children(

@@ -26,6 +26,7 @@ class NotPositiveDefinite(ArithmeticError):
 class EigenPair:
     value: float
     vector: np.ndarray   # unit 2-norm, first nonzero component positive
+    values: np.ndarray | None = None   # the whole spectrum, ascending, when computed
 
 
 def check_symmetric(M, what: str = "matrix") -> np.ndarray:
@@ -53,20 +54,27 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _fix_column_signs(V: np.ndarray) -> np.ndarray:
+    """_fix_sign applied to every column of V at once."""
+    big = np.abs(V) > 1e-12
+    lead = np.take_along_axis(V, big.argmax(axis=0)[None, :], axis=0)[0]
+    return np.where(big.any(axis=0) & (lead < 0), -V, V)
+
+
 def sym_eig_min(M) -> EigenPair:
-    """Smallest eigenvalue of a symmetric matrix with a unit eigenvector."""
+    """Smallest eigenvalue of a symmetric matrix with a unit eigenvector, and
+    the whole spectrum (`values`) that the same eigensolve computes."""
     M = check_symmetric(M, what="M")
     w, V = np.linalg.eigh(M)
     v = _fix_sign(V[:, 0].copy())
-    return EigenPair(float(w[0]), v / np.linalg.norm(v))
+    return EigenPair(float(w[0]), v / np.linalg.norm(v), w)
 
 
 def sym_eig_all(M) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition, eigenvalues ascending, columns sign-fixed."""
     M = check_symmetric(M, what="M")
     w, V = np.linalg.eigh(M)
-    V = np.column_stack([_fix_sign(V[:, k].copy()) for k in range(V.shape[1])])
-    return w, V
+    return w, _fix_column_signs(V)
 
 
 def gen_eig_min(M, N) -> EigenPair:
@@ -103,9 +111,7 @@ def nullspace_basis(A) -> np.ndarray:
         rank = 0
     else:
         rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    Z = Qf[:, rank:]
-    Z = np.column_stack([_fix_sign(Z[:, k].copy()) for k in range(Z.shape[1])]) if Z.shape[1] else Z.reshape(n, 0)
-    return Z
+    return _fix_column_signs(Qf[:, rank:])
 
 
 def gct_lower_bound(T) -> float:

@@ -114,10 +114,8 @@ def _interval_presolve(model: ConvexQpModel) -> bool:
     lb, ub = model.lb, model.ub
     if np.any(lb > ub + 1e-12):
         return True
-    for rows, lo_req, hi_req in (
-        (model.A, model.b, model.b),
-        (model.C, np.full(model.d.shape, -math.inf), model.d),
-    ):
+    # C rows have no lower requirement
+    for rows, lo_req, hi_req in ((model.A, model.b, model.b), (model.C, None, model.d)):
         if rows.shape[0] == 0:
             continue
         lo_range = np.minimum(rows * lb, rows * ub).sum(axis=1)
@@ -125,7 +123,9 @@ def _interval_presolve(model: ConvexQpModel) -> bool:
         slack = 1e-9 * (1.0 + np.max(np.abs(rows), initial=0.0)) * (
             1.0 + np.max(np.abs(ub), initial=0.0) + np.max(np.abs(lb), initial=0.0)
         )
-        if np.any(hi_range < lo_req - slack) or np.any(lo_range > hi_req + slack):
+        if (lo_req is not None and np.any(hi_range < lo_req - slack)) or np.any(
+            lo_range > hi_req + slack
+        ):
             return True
     return False
 
@@ -252,7 +252,8 @@ def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
     zero elsewhere."""
     n, m, p = model.nvar, model.A.shape[0], model.C.shape[0]
     lb, ub, C, d = model.lb, model.ub, model.C, model.d
-    rows = np.vstack([model.A, C])
+    # C-ordered as a stack would be, so that rows.T @ lam rounds the same
+    rows = np.vstack([model.A, C]) if p else np.ascontiguousarray(model.A)
     pinned = lb == ub
     x, at = x.copy(), at.copy()
     on = np.zeros(p, dtype=bool)
@@ -263,7 +264,7 @@ def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
     # the equality rows of the working set: dependent ones (over the
     # variables not pinned) are left out, their multipliers kept at zero
     eq = _independent_rows(model.A[:, ~pinned])
-    work = eq
+    work, rows_w = eq, rows.take(eq, 0)     # the working rows change only with C rows
     status, it = STATUS_MAXITER, 0
     g = P @ x + c
     while it < max_iter and (deadline is None or time.monotonic() <= deadline):
@@ -271,15 +272,18 @@ def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
         free = (at == 0).nonzero()[0]
         if p:
             work = np.concatenate([eq, m + on.nonzero()[0]])
+            rows_w = rows.take(work, 0)
         k, r = free.size, work.size
-        K = np.zeros((k + r, k + r))
-        K[:k, :k] = Preg.take(free, 0).take(free, 1)
-        rhs = np.zeros(k + r)
-        rhs[:k] = -g.take(free)
         if r:
-            E = rows.take(work, 0).take(free, 1)
+            E = rows_w.take(free, 1)
+            K = np.zeros((k + r, k + r))
+            K[:k, :k] = Preg.take(free, 0).take(free, 1)
             K[:k, k:] = E.T
             K[k:, :k] = E
+            rhs = np.zeros(k + r)
+            rhs[:k] = -g.take(free)
+        else:
+            K, rhs = Preg.take(free, 0).take(free, 1), -g.take(free)
         s = _kkt_solve(K, rhs)
         lam[:] = 0.0
         lam[work] = s[k:]
@@ -329,7 +333,8 @@ def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
                 x[free] = np.minimum(np.maximum(xF + reach * sF, lF), uF)
                 g += reach * Ps
         # nothing blocks: test the new point for stationarity on its face
-        z = g + rows.T @ lam
+        # (without rows z is g: the test reads only magnitudes and signs)
+        z = g + rows.T @ lam if m + p else g
         gap = tol * (1.0 + max(float(np.abs(g - c).max()), cmax))
         if float(np.abs(z.take(free)).max(initial=0.0)) > gap:
             continue

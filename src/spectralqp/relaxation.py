@@ -103,29 +103,32 @@ def restrict(problem: ProblemInstance, lb, ub) -> ConvexQpModel:
     over its free variables, the fixed values substituted, Q the free block
     of the problem's Q, the constant they leave in `offset`."""
     B = free_indices(lb, ub)
-    F = np.delete(np.arange(problem.n), B)
-    xf = lb[F]
+    fixed = np.ones(problem.n, dtype=bool)
+    fixed[B] = False
+    F = np.flatnonzero(fixed)
     Q, q = problem.Q, problem.q
+    QB = Q.take(B, 0)
+    qb, const = q[B], 0.0
+    bb, db = problem.b, problem.d
     if F.size:
-        Qb = Q[np.ix_(B, B)]
-        qb = q[B] + 2.0 * (Q[np.ix_(B, F)] @ xf)
-        const = float(xf @ Q[np.ix_(F, F)] @ xf + q[F] @ xf)
-        bb = problem.b - problem.A[:, F] @ xf if problem.m else problem.b
-        db = problem.d - problem.C[:, F] @ xf if problem.p else problem.d
-    else:
-        Qb, qb, const = Q, q, 0.0
-        bb, db = problem.b, problem.d
+        xf = lb[F]
+        qb = qb + 2.0 * (QB.take(F, 1) @ xf)
+        const = float(xf @ Q.take(F, 0).take(F, 1) @ xf + q[F] @ xf)
+        if problem.m:
+            bb = problem.b - problem.A[:, F] @ xf
+        if problem.p:
+            db = problem.d - problem.C[:, F] @ xf
     return ConvexQpModel(
         kind="node",
-        Q=np.array(Qb, dtype=float),
-        q=np.array(qb, dtype=float),
+        Q=QB.take(B, 1),
+        q=qb,
         offset=const,
-        A=np.array(problem.A[:, B], dtype=float),
-        b=np.array(bb, dtype=float),
-        C=np.array(problem.C[:, B], dtype=float),
-        d=np.array(db, dtype=float),
-        lb=np.array(lb[B], dtype=float),
-        ub=np.array(ub[B], dtype=float),
+        A=problem.A[:, B],
+        b=bb,
+        C=problem.C[:, B],
+        d=db,
+        lb=lb[B],
+        ub=ub[B],
     )
 
 

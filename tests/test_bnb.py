@@ -297,6 +297,58 @@ def test_eigz_node_eigen_work_bounded(monkeypatch):
         assert sym <= 2 and gen <= 1
 
 
+def _shift_run(monkeypatch, problem, mode, force_exact):
+    """(result, node shift kinds, nodes with rows, exact nullspace tests) of
+    one solve; `force_exact` hides the spectrum beyond lambda_min from
+    `_shift`, so that every nonconvex node with rows takes the exact test."""
+    kinds, counts = [], {"rows": 0, "exact": 0}
+    eig_min, exact, shift = linalg.sym_eig_min, bnb.compute_shift_eigz_exact, bnb._Engine._shift
+
+    def hidden_spectrum(M):
+        pair = eig_min(M)
+        return dataclasses.replace(pair, values=np.full_like(pair.values, np.inf))
+
+    def counted_exact(*args):
+        counts["exact"] += 1
+        return exact(*args)
+
+    def recorded_shift(self, R):
+        counts["rows"] += bool(R.A.shape[0])
+        out = shift(self, R)
+        kinds.append(None if out is None else out.kind)
+        return out
+
+    with monkeypatch.context() as mp:
+        if force_exact:
+            mp.setattr(linalg, "sym_eig_min", hidden_spectrum)
+        mp.setattr(bnb, "compute_shift_eigz_exact", counted_exact)
+        mp.setattr(bnb._Engine, "_shift", recorded_shift)
+        res = solve(problem, SolverConfig(relaxation=mode))
+    return res, kinds, counts["rows"], counts["exact"]
+
+
+@pytest.mark.parametrize("mode", ("eig", "eigz", "auto"))
+@pytest.mark.parametrize(
+    "spec",
+    (
+        GeneratorSpec(family="cbqp", n=10, density=0.5, k=3, seed=0),
+        GeneratorSpec(family="eiqp", n=6, density=0.5, m=2, seed=1),
+    ),
+    ids=("cbqp", "eiqp"),
+)
+def test_interlacing_skips_only_nullspace_tests_it_settles(mode, spec, monkeypatch):
+    # the spectrum _shift already has proves most nodes nonconvex on their
+    # rows' nullspace; every node must decide as the exact test does
+    prob = generate_random(spec)
+    res, kinds, rows, exact = _shift_run(monkeypatch, prob, mode, force_exact=False)
+    ref, ref_kinds, ref_rows, ref_exact = _shift_run(monkeypatch, prob, mode, force_exact=True)
+    assert res.status == ref.status == "optimal"
+    assert res.trace == ref.trace and res.nodes == ref.nodes
+    assert res.stats["convex_nodes"] == ref.stats["convex_nodes"]
+    assert kinds == ref_kinds and rows == ref_rows > 0
+    assert exact < ref_exact <= rows
+
+
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("rows", (0, 1))
 def test_delta_searched_once_per_run(mode, rows, monkeypatch):

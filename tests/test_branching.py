@@ -177,7 +177,7 @@ def test_spatial_uses_original_numbering():
     R = restrict(prob, lb, ub)
     entry = bnb._Node(lb, ub, bound=-np.inf, depth=0, order=0)
     children, idx = bnb._branch_children(
-        prob, bnb.SolverConfig(), np.zeros(5, dtype=bool), entry, free, R, [0.5], None
+        prob, bnb.SolverConfig(), bnb._structure(prob), entry, free, R, [0.5], None
     )
     assert idx == 4 and type(idx) is int
     assert [(c_lb[4], c_ub[4]) for c_lb, c_ub in children] == [(0.0, 0.5), (0.5, 1.0)]

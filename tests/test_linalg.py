@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spectralqp import linalg
 from spectralqp.linalg import (
     EIG_TOL,
     NotPositiveDefinite,
@@ -60,6 +62,12 @@ class TestSymEigMin:
             probe = rayleigh_probe_min(M, trials=2000, seed=trial)
             assert lam <= probe + 1e-12
             assert probe - lam < 1.0  # probes get reasonably close on small n
+
+    def test_values_are_the_whole_spectrum(self):
+        M = random_symmetric(np.random.default_rng(3), 6)
+        pair = sym_eig_min(M)
+        assert np.array_equal(pair.values, np.linalg.eigh(M)[0])
+        assert pair.value == pair.values[0]
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -216,3 +224,60 @@ class TestSymEigAll:
         np.testing.assert_allclose(V @ np.diag(w) @ V.T, M, atol=1e-10)
         assert np.all(np.diff(w) >= -1e-14)
         np.testing.assert_allclose(V.T @ V, np.eye(8), atol=1e-10)
+
+
+# ---------------------------------------------------- column sign convention
+
+
+def _fix_sign_per_column(V):
+    """Reference sign fix, one column at a time: the first entry above 1e-12
+    in magnitude is made positive, by negating the whole column."""
+    out = V.copy()
+    for k in range(V.shape[1]):
+        for x in V[:, k]:
+            if abs(x) > 1e-12:
+                if x < 0:
+                    out[:, k] = -V[:, k]
+                break
+    return out
+
+
+def _assert_same_bits(X, Y):
+    assert np.array_equal(X, Y)
+    assert np.array_equal(np.signbit(X), np.signbit(Y))
+
+
+class TestColumnSigns:
+    def test_matches_the_column_loop_on_edge_columns(self):
+        V = np.array([
+            [1e-12, -1e-13, 0.0, -0.0, 2.0, -3.0],
+            [-1e-12, 1e-14, -0.0, 0.0, -1.0, 1.0],
+            [-0.5, -1e-13, -2.0, 0.0, 0.0, -0.0],
+            [0.25, 0.0, 1.0, -1e-15, -0.0, 0.0],
+        ])
+        # columns: leading entries at most 1e-12 then negative, tiny
+        # throughout, signed zeros ahead of a negative entry, all (signed)
+        # zeros, a positive and a negative leading entry
+        fixed = linalg._fix_column_signs(V)
+        _assert_same_bits(fixed, _fix_sign_per_column(V))
+        assert np.array_equal(fixed[:, 1], V[:, 1])     # tiny: left alone
+        assert fixed[2, 0] == 0.5 and fixed[2, 2] == 2.0
+
+    def test_sym_eig_all_matches_the_column_loop(self):
+        rng = np.random.default_rng(12)
+        # block diagonal: eigenvectors with exact zeros in their leading entries
+        M = scipy.linalg.block_diag(random_symmetric(rng, 3), random_symmetric(rng, 4))
+        for M in (M, random_symmetric(rng, 7), -np.eye(5)):
+            w, V = np.linalg.eigh(0.5 * (M + M.T))
+            got_w, got_V = sym_eig_all(M)
+            assert np.array_equal(got_w, w)
+            _assert_same_bits(got_V, _fix_sign_per_column(V))
+
+    def test_nullspace_basis_matches_the_column_loop(self):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((2, 7))
+        A[:, :3] = 0.0     # e1, e2, e3 lie in the nullspace
+        for A in (A, rng.standard_normal((3, 6)), np.array([[1.0, -1.0, 0.0, 0.0]])):
+            Z = nullspace_basis(A)
+            Qf = scipy.linalg.qr(A.T, mode="full", pivoting=True)[0]
+            _assert_same_bits(Z, _fix_sign_per_column(Qf[:, A.shape[1] - Z.shape[1]:]))

@@ -628,3 +628,21 @@ def test_eig_shift_makes_model_convex(n, seed):
     prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
     model = build_spectral_relaxation(restrict(prob, prob.lb, prob.ub), compute_shift_eig(prob.Q))
     assert linalg.sym_eig_min(model.Q).value >= -1e-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_nullspace_curvature_interlaces_the_spectrum(n, data):
+    # Cauchy interlacing, which lets bnb skip the exact nullspace test:
+    # lambda_min(Z'QZ) <= lambda_{1+m}(Q) for m < n rows, zero and dependent
+    # rows included
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    m = data.draw(st.integers(0, n - 1))
+    Q = rand_sym(rng, n)
+    A = rng.uniform(-3, 3, size=(m, n))
+    if m and data.draw(st.booleans()):
+        A[rng.integers(m)] = 0.0
+    if m >= 2 and data.draw(st.booleans()):
+        A[-1] = 2.0 * A[0] - A[-2]
+    lam = compute_shift_eigz_exact(Q, A).lam
+    assert lam <= np.linalg.eigvalsh(Q)[m] + 1e-9 * (1.0 + np.abs(Q).max())
