@@ -45,20 +45,13 @@ def check_symmetric(M, what: str = "matrix") -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector orientation: first component of magnitude
-    above 1e-12 is made positive."""
-    for x in v:
-        if abs(x) > 1e-12:
-            return -v if x < 0 else v
-    return v
-
-
 def _fix_column_signs(V: np.ndarray) -> np.ndarray:
-    """_fix_sign applied to every column of V at once."""
+    """Deterministic eigenvector orientation, for every column of V at once:
+    the first entry of magnitude above 1e-12 is made positive."""
     big = np.abs(V) > 1e-12
-    lead = np.take_along_axis(V, big.argmax(axis=0)[None, :], axis=0)[0]
-    return np.where(big.any(axis=0) & (lead < 0), -V, V)
+    first = big.argmax(axis=0)      # 0 in a column without such an entry
+    cols = np.arange(V.shape[1])
+    return np.where(big[first, cols] & (V[first, cols] < 0.0), -V, V)
 
 
 def sym_eig_min(M) -> EigenPair:
@@ -66,7 +59,7 @@ def sym_eig_min(M) -> EigenPair:
     the whole spectrum (`values`) that the same eigensolve computes."""
     M = check_symmetric(M, what="M")
     w, V = np.linalg.eigh(M)
-    v = _fix_sign(V[:, 0].copy())
+    v = _fix_column_signs(V[:, :1])[:, 0]
     return EigenPair(float(w[0]), v / np.linalg.norm(v), w)
 
 
@@ -90,8 +83,7 @@ def gen_eig_min(M, N) -> EigenPair:
         if "not positive definite" not in str(exc):
             raise       # a convergence failure, not a property of N
         raise NotPositiveDefinite(str(exc)) from None
-    v = V[:, 0]
-    return EigenPair(float(w[0]), _fix_sign(v / np.linalg.norm(v)))
+    return EigenPair(float(w[0]), _fix_column_signs(V / np.linalg.norm(V))[:, 0])
 
 
 def nullspace_basis(A) -> np.ndarray:

@@ -61,7 +61,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .relaxation import ConvexQpModel
+from .relaxation import ConvexQpModel, relaxed_objective_at
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -162,12 +162,14 @@ def _kkt_solve(K, rhs):
 
 def _independent_rows(A) -> np.ndarray:
     """Ascending indices of a largest linearly independent set of A's rows,
-    by QR with column pivoting of A' (rank to 1e-10 relative)."""
+    by QR with column pivoting of A', rank counted as in
+    linalg.nullspace_basis (diagonal magnitudes above linalg.RANK_TOL
+    relative to the largest)."""
     if A.shape[0] <= 1:
         return np.flatnonzero(np.any(A != 0.0, axis=1))
     R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > 1e-10 * diag.max(initial=0.0))) if diag.size else 0
+    rank = int(np.sum(diag > linalg.RANK_TOL * diag.max(initial=0.0))) if diag.size else 0
     return np.sort(piv[:rank])
 
 
@@ -353,13 +355,6 @@ def _active_set(model: ConvexQpModel, P, c, x, at, tol, max_iter, deadline):
     return status, x, lam[:m], lam[m:], np.where(at != 0, -z, 0.0), it
 
 
-def _objective(model: ConvexQpModel, x: np.ndarray) -> float:
-    val = float(model.q @ x) + model.offset
-    if model.Q is not None:
-        val += float(x @ model.Q @ x)
-    return val
-
-
 def _row_lagrangian(model: ConvexQpModel, nu, mu) -> np.ndarray:
     """q + A'nu + C'mu, the gradient of q'x + nu'(Ax - b) + mu'(Cx - d): the
     part of the Lagrangian gradient that _bound, verify_kkt and the reduced
@@ -450,7 +445,7 @@ def _solution(model: ConvexQpModel, status, x, nu, mu, z, iterations, curvature=
         grad = _row_lagrangian(model, np.zeros(model.A.shape[0]), mu) + 2.0 * (model.Q @ x)
         grad = grad - pi_l + pi_u
         nu, _, _, _ = np.linalg.lstsq(model.A.T, -grad, rcond=None)
-    objective = _objective(model, x) if x is not None else math.nan
+    objective = relaxed_objective_at(model, x) if x is not None else math.nan
     bound, slope = math.inf, None
     if status != STATUS_INFEASIBLE:
         bound, slope = _bound(model, x, nu, mu, curvature, reduced)

@@ -48,22 +48,6 @@ class NodeInfeasible(Exception):
 
 
 @dataclass(eq=False)
-class McCormickInfo:
-    pairs: list           # (i, j) local index pairs, i <= j, in column order
-    coeffs: np.ndarray    # objective coefficient per lifted column
-    lb: np.ndarray        # node bounds over the free block
-    ub: np.ndarray
-
-
-@dataclass(eq=False)
-class SeparableInfo:
-    V: np.ndarray         # (nb, k) negative eigendirections, the secant ones
-    lam: np.ndarray       # (k,) their eigenvalues
-    L: np.ndarray         # (k,) direction lower bounds
-    U: np.ndarray         # (k,) direction upper bounds
-
-
-@dataclass(eq=False)
 class ConvexQpModel:
     """min z' Q z + q' z + offset s.t. A z = b, C z <= d, lb <= z <= ub.
 
@@ -71,8 +55,8 @@ class ConvexQpModel:
     an eigz model, or a "none"-kind model that is convex only on the
     nullspace of its equality rows.  Q may be None for a linear program.
     z is the node's free variables, except in the McCormick LP, which
-    appends one column per product after them (`mccormick.lb` keeps their
-    number)."""
+    appends one column per product after them, each bounded only by its
+    own four envelope rows of C."""
 
     kind: str
     Q: np.ndarray | None
@@ -84,8 +68,6 @@ class ConvexQpModel:
     d: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    mccormick: McCormickInfo | None = None
-    separable: SeparableInfo | None = None
 
     @property
     def nvar(self) -> int:
@@ -294,11 +276,7 @@ def build_mccormick_relaxation(R: ConvexQpModel) -> ConvexQpModel:
     xub = np.concatenate([u, corners.max(axis=0)])
     A = np.zeros((R.A.shape[0], nvar))
     A[:, :nb] = R.A
-    pairs = list(zip(I.tolist(), J.tolist()))
-    return replace(
-        R, kind="mccormick", Q=None, q=q, A=A, C=C, d=d, lb=xlb, ub=xub,
-        mccormick=McCormickInfo(pairs=pairs, coeffs=coeffs, lb=l.copy(), ub=u.copy()),
-    )
+    return replace(R, kind="mccormick", Q=None, q=q, A=A, C=C, d=d, lb=xlb, ub=xub)
 
 
 def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel:
@@ -347,28 +325,30 @@ def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel:
         Q=0.5 * (Qhat + Qhat.T),
         q=R.q + Vn @ (lam * (L + U)),
         offset=R.offset - float(lam @ (L * U)),
-        separable=SeparableInfo(V=Vn, lam=lam, L=L, U=U),
     )
 
 
 def relaxed_objective_at(model: ConvexQpModel, x) -> float:
-    """Value of the relaxation at a point x of the node's free space: the
-    model objective for the spectral and separable kinds, and the tightest
-    envelope-consistent lifting for McCormick.  For feasible x this never
+    """Value of the model at a point x: z'Qz + q'z + offset at z = x, or,
+    when x is shorter than the model (a point of a McCormick LP's node
+    variables), with each product column past x at the end of the range its
+    envelope rows allow that minimizes its cost: the tightest
+    envelope-consistent lifting.  For feasible x of the node this never
     exceeds the true restricted objective."""
     x = np.asarray(x, dtype=float)
-    if model.mccormick is not None:
-        info = model.mccormick
-        l, u = info.lb, info.ub
-        total = float(model.q[: l.size] @ x) + model.offset
-        for c, (i, j) in zip(info.coeffs, info.pairs):
-            if c == 0.0:
-                continue
-            li, ui, lj, uj = l[i], u[i], l[j], u[j]
-            lo = max(li * x[j] + lj * x[i] - li * lj, ui * x[j] + uj * x[i] - ui * uj)
-            hi = min(li * x[j] + uj * x[i] - li * uj, ui * x[j] + lj * x[i] - ui * lj)
-            total += c * lo if c > 0 else c * hi
-        return total
-    if model.Q is None:
-        return float(model.q @ x) + model.offset
-    return float(x @ model.Q @ x + model.q @ x) + model.offset
+    k = x.size
+    val = float(model.q[:k] @ x) + model.offset
+    if model.Q is not None:
+        val += float(x @ model.Q @ x)
+    if model.nvar > k:
+        # Y y <= r over the product columns y: a row with Y < 0 bounds its
+        # column below by r/Y, one with Y > 0 above; the problem's own rows
+        # have Y = 0 and drop out
+        Y = model.C[:, k:]
+        r = model.d - model.C[:, :k] @ x
+        ratio = np.divide(r[:, None], Y, out=np.zeros_like(Y), where=Y != 0.0)
+        lo = np.where(Y < 0.0, ratio, -np.inf).max(axis=0)
+        hi = np.where(Y > 0.0, ratio, np.inf).min(axis=0)
+        c = model.q[k:]
+        val += float(np.sum(np.where(c > 0.0, c * lo, np.where(c < 0.0, c * hi, 0.0))))
+    return val

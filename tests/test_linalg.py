@@ -273,6 +273,22 @@ class TestColumnSigns:
             assert np.array_equal(got_w, w)
             _assert_same_bits(got_V, _fix_sign_per_column(V))
 
+    def test_min_eigenvectors_match_the_column_loop(self):
+        rng = np.random.default_rng(14)
+        # block diagonal: the smallest eigenvector of one block has exact
+        # zeros where the other block sits, ahead of or behind its entries
+        M = scipy.linalg.block_diag(random_symmetric(rng, 3), random_symmetric(rng, 4))
+        B = rng.standard_normal((4, 4))
+        N = scipy.linalg.block_diag(np.diag([1.0, 2.0, 0.5]), np.eye(4) + B @ B.T)
+        cases = ((M, N), (-M, N), (random_symmetric(rng, 7), np.eye(7)), (-np.eye(5), np.eye(5)))
+        for M, N in cases:
+            V = np.linalg.eigh(M)[1][:, :1]
+            v = _fix_sign_per_column(V)[:, 0]
+            _assert_same_bits(sym_eig_min(M).vector, v / np.linalg.norm(v))
+            V = scipy.linalg.eigh(M, N, subset_by_index=[0, 0])[1]
+            ref = _fix_sign_per_column(V / np.linalg.norm(V[:, 0]))[:, 0]
+            _assert_same_bits(gen_eig_min(M, N).vector, ref)
+
     def test_nullspace_basis_matches_the_column_loop(self):
         rng = np.random.default_rng(13)
         A = rng.standard_normal((2, 7))

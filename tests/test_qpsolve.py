@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectralqp import bnb, oracle, problem, qpsolve
-from spectralqp.relaxation import ConvexQpModel, NodeInfeasible
+from spectralqp.relaxation import ConvexQpModel, NodeInfeasible, relaxed_objective_at
 
 
 def make_model(Q, q, offset=0.0, A=None, b=None, C=None, d=None, lb=None, ub=None, **kw):
@@ -702,7 +702,7 @@ def _model_optimum(model):
         fixed = {i: model.lb[i] for i in np.flatnonzero(x - model.lb <= tol)}
         fixed.update({i: model.ub[i] for i in np.flatnonzero(model.ub - x <= tol)})
         points = [_face_min(model, fixed, np.flatnonzero(model.C @ x >= model.d - tol))]
-    values = [qpsolve._objective(model, x) for x in points if x is not None]
+    values = [relaxed_objective_at(model, x) for x in points if x is not None]
     assert values, "no feasible face minimizer"
     return min(values)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spectralqp import linalg, problem, qpsolve
 from spectralqp.relaxation import (
+    ZERO_EIG_TOL,
     KIND_EIG,
     KIND_EIGZ,
     KIND_EIGZ_EXACT,
@@ -422,13 +423,27 @@ def test_geig_underestimates_on_manifold():
 # ------------------------------------------------------------------ McCormick
 
 
+def mccormick_pairs(model, nb):
+    """The (i, j) product of each lifted column past the nb node variables,
+    read from the model's rows: the column sits in exactly four rows, its
+    envelopes, whose nonzero node columns are i and j."""
+    pairs = []
+    for t in range(model.nvar - nb):
+        rows = np.flatnonzero(model.C[:, nb + t])
+        assert rows.size == 4
+        cols = np.flatnonzero(np.any(model.C[rows, :nb] != 0.0, axis=0))
+        assert cols.size in (1, 2)
+        pairs.append((int(cols[0]), int(cols[-1])))
+    return pairs
+
+
 def test_mccormick_bilinear_structure_and_bound():
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
-    info = model.mccormick
-    assert info.pairs == [(0, 0), (1, 1), (0, 1)]
-    assert np.allclose(info.coeffs, [0.0, 0.0, 2.0])
-    assert model.nvar == 5 and model.mccormick.lb.size == 2
+    assert mccormick_pairs(model, 2) == [(0, 0), (1, 1), (0, 1)]
+    assert np.allclose(model.q[2:], [0.0, 0.0, 2.0])
+    assert model.nvar == 5
+    assert np.array_equal(model.lb[:2], prob.lb) and np.array_equal(model.ub[:2], prob.ub)
     assert model.C.shape[0] == 12      # four envelope rows per lifted column
     sol = qpsolve.solve_lp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
@@ -449,7 +464,7 @@ def test_mccormick_negative_square_bound():
 def test_mccormick_skips_zero_offdiagonals():
     prob = box_problem(np.diag([1.0, -2.0, 3.0]))
     model = build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
-    assert model.mccormick.pairs == [(0, 0), (1, 1), (2, 2)]
+    assert mccormick_pairs(model, 3) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_mccormick_underestimates():
@@ -479,20 +494,99 @@ def test_mccormick_keeps_problem_rows():
     assert model.A.shape == (1, model.nvar)
     assert np.allclose(model.A[0, : 2], [1.0, 1.0])
     assert np.allclose(model.A[0, 2:], 0.0)
-    assert model.C.shape[0] == 1 + 4 * len(model.mccormick.pairs)
+    assert model.C.shape[0] == 1 + 4 * len(mccormick_pairs(model, 2))
+    assert np.array_equal(model.C[0, :2], [1.0, 0.0])
+    assert np.all(model.C[0, 2:] == 0.0)     # problem rows skip the products
+
+
+def envelope_value(R, x):
+    """(value, scale) of the McCormick LP of the node model R at x, by the
+    pairwise envelopes: one product per diagonal entry and per nonzero
+    off-diagonal pair, each at the end of its envelope range that minimizes
+    its cost; scale is the magnitude of the terms summed."""
+    l, u = R.lb, R.ub
+    value = float(R.q @ x) + R.offset
+    scale = 1.0 + abs(R.offset) + float(np.abs(R.q * x).sum())
+    for i in range(x.size):
+        for j in range(i, x.size):
+            c = R.Q[i, j] * (1.0 if i == j else 2.0)
+            if c == 0.0:
+                continue
+            li, ui, lj, uj = l[i], u[i], l[j], u[j]
+            lo = max(li * x[j] + lj * x[i] - li * lj, ui * x[j] + uj * x[i] - ui * uj)
+            hi = min(li * x[j] + uj * x[i] - li * uj, ui * x[j] + lj * x[i] - ui * lj)
+            value += c * lo if c > 0 else c * hi
+            scale += abs(c) * max(abs(lo), abs(hi))
+    return value, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 10_000))
+def test_mccormick_value_from_rows_matches_the_envelopes(n, p, seed):
+    # random problems with zero off-diagonals and inequality rows, on a
+    # sub-box that fixes some variables: the model's value at a point of
+    # the node's variables, each product read from its own envelope rows,
+    # is the pairwise envelope value; it never exceeds the true objective
+    # on the node's box, and meets it at the box's vertices
+    rng = np.random.default_rng(seed)
+    Q = rand_sym(rng, n)
+    gap = np.triu(rng.random((n, n)) < 0.4, 1)
+    Q[gap | gap.T] = 0.0
+    lb0 = rng.choice([0.0, -1.0, -2.5], n)
+    ub0 = lb0 + rng.choice([1.0, 2.0, 3.5], n)
+    prob = box_problem(
+        Q, q=rng.uniform(-2, 2, n), C=rng.uniform(-1, 1, (p, n)), d=rng.uniform(0, 2, p),
+        lb=lb0, ub=ub0,
+    )
+    lb = lb0 + (ub0 - lb0) * rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.5)
+    ub = ub0 - (ub0 - lb) * rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.5)
+    fix = rng.random(n) < 0.3
+    lb[fix] = ub[fix] = rng.uniform(lb[fix], ub[fix])
+    R = restrict(prob, lb, ub)
+    model = build_mccormick_relaxation(R)
+    free = free_indices(lb, ub)
+    for corner in (False,) * 10 + (True,) * 3:
+        x = rng.uniform(R.lb, R.ub)
+        if corner:
+            x = np.where(rng.random(x.size) < 0.5, R.lb, R.ub)
+        got = relaxed_objective_at(model, x)
+        ref, scale = envelope_value(R, x)
+        assert abs(got - ref) <= 1e-12 * scale
+        full = lb.copy()
+        full[free] = x
+        true = problem.evaluate_objective(prob, full)
+        assert got <= true + 1e-9 * scale
+        if corner:
+            assert got == pytest.approx(true, abs=1e-9 * scale)
 
 
 # ------------------------------------------------------------------ separable
 
 
+def secant_range(R, model):
+    """The eigenvalue and range [L, U] of the one secant direction v of a
+    separable model of R, read back from the model's own terms:
+    q_hat - q = lam (L + U) v and offset_hat - offset = -lam L U."""
+    w, V = linalg.sym_eig_all(R.Q)
+    neg = np.flatnonzero(w < -ZERO_EIG_TOL)
+    assert neg.size == 1
+    lam, v = w[neg[0]], V[:, neg[0]]
+    total = float(v @ (model.q - R.q)) / lam
+    product = (R.offset - model.offset) / lam
+    half = 0.5 * math.sqrt(max(total * total - 4.0 * product, 0.0))
+    return lam, 0.5 * total - half, 0.5 * total + half
+
+
 def test_separable_bilinear_half():
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
-    info = model.separable
-    assert np.allclose(info.lam, [-1.0], atol=1e-12)
+    R = restrict(prob, prob.lb, prob.ub)
+    model = build_separable_relaxation(R, qpsolve.solve_lp)
+    lam, L, U = secant_range(R, model)
+    assert lam == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(model.Q, 0.5 * np.ones((2, 2)), atol=1e-12)   # the PSD part
     r = 1.0 / np.sqrt(2.0)
-    assert info.L[0] == pytest.approx(-r, abs=1e-6)
-    assert info.U[0] == pytest.approx(r, abs=1e-6)
+    assert L == pytest.approx(-r, abs=1e-6)
+    assert U == pytest.approx(r, abs=1e-6)
     sol = qpsolve.solve_convex_qp(model)
     assert sol.status == qpsolve.STATUS_OPTIMAL
     assert sol.objective == pytest.approx(-0.5, abs=1e-6)
@@ -508,9 +602,10 @@ def test_separable_drops_zero_eigendirections():
         lps.append(lp)
         return qpsolve.solve_lp(lp)
 
-    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), record)
+    R = restrict(prob, prob.lb, prob.ub)
+    model = build_separable_relaxation(R, record)
     assert lps == []
-    assert model.separable.lam.shape == (0,)
+    assert np.array_equal(model.q, R.q) and model.offset == R.offset   # no secant
     assert np.allclose(model.Q, prob.Q, atol=1e-12)
     assert model.nvar == prob.n
     assert model.A.shape == (0, 2) and model.C.shape == (0, 2)
@@ -527,17 +622,40 @@ def test_separable_objective_is_the_secant_formula():
         A=[rng.uniform(0.5, 1.5, n)], b=[1.5], lb=np.zeros(n), ub=np.ones(n),
     )
     R = restrict(prob, np.array([0.0, 0.0, 0.5, 0.0]), np.array([1.0, 1.0, 0.5, 1.0]))
-    model = build_separable_relaxation(R, qpsolve.solve_lp)
-    info = model.separable
+    lps = []
+
+    def record(lp):
+        sol = qpsolve.solve_lp(lp)
+        lps.append((lp.q, sol.bound))
+        return sol
+
+    model = build_separable_relaxation(R, record)
     assert model.nvar == 3 and model.A.shape == (1, 3)
-    assert R.offset != 0.0 and info.lam.size >= 1
-    w, V = np.linalg.eigh(R.Q)
+    # the secant directions are the negative eigenvectors, each bounded by
+    # a minimizing and a maximizing LP
+    wa, Va = linalg.sym_eig_all(R.Q)
+    neg = np.flatnonzero(wa < -ZERO_EIG_TOL)
+    lam, Vn = wa[neg], Va[:, neg]
+    assert R.offset != 0.0 and lam.size >= 1 and len(lps) == 2 * lam.size
+    L, U = np.empty(lam.size), np.empty(lam.size)
+    for t in range(lam.size):
+        (q_lo, b_lo), (q_hi, b_hi) = lps[2 * t], lps[2 * t + 1]
+        v = Vn[:, t]
+        assert np.array_equal(q_lo, v) and np.array_equal(q_hi, -v)
+        # the range of v'x: interval arithmetic clamped by the LP bounds,
+        # then widened by the margin
+        lo_iv = float(np.minimum(v * R.lb, v * R.ub).sum())
+        hi_iv = float(np.maximum(v * R.lb, v * R.ub).sum())
+        lo = max(lo_iv, min(b_lo, hi_iv))
+        hi = min(hi_iv, max(-b_hi, lo_iv))
+        margin = 1e-7 * (1.0 + abs(lo) + abs(hi))
+        L[t], U[t] = lo - margin, hi + margin
     for _ in range(20):
         x = rng.uniform(R.lb, R.ub)
         ref = float(R.q @ x) + R.offset
-        ref += sum(wt * float(V[:, t] @ x) ** 2 for t, wt in enumerate(w) if wt > 0)
-        y = info.V.T @ x
-        ref += float(np.sum(info.lam * ((info.L + info.U) * y - info.L * info.U)))
+        ref += sum(wt * float(Va[:, t] @ x) ** 2 for t, wt in enumerate(wa) if wt > 0)
+        y = Vn.T @ x
+        ref += float(np.sum(lam * ((L + U) * y - L * U)))
         assert relaxed_objective_at(model, x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -571,12 +689,12 @@ def test_separable_tighter_than_interval_arithmetic():
         lb=[0.0, 0.0],
         ub=[1.0, 1.0],
     )
-    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
-    info = model.separable
+    R = restrict(prob, prob.lb, prob.ub)
+    _, L, U = secant_range(R, build_separable_relaxation(R, qpsolve.solve_lp))
     # direction (1,-1)/sqrt(2): over x1 = 0.25, range is [(0.25-1), 0.25]/sqrt(2)
     r = 1.0 / np.sqrt(2.0)
-    assert info.L[0] == pytest.approx(-0.75 * r, abs=1e-6)
-    assert info.U[0] == pytest.approx(0.25 * r, abs=1e-6)
+    assert L == pytest.approx(-0.75 * r, abs=1e-6)
+    assert U == pytest.approx(0.25 * r, abs=1e-6)
 
 
 def test_separable_direction_bounds_come_from_certified_bound():
@@ -585,22 +703,23 @@ def test_separable_direction_bounds_come_from_certified_bound():
     prob = box_problem(
         [[0.0, 1.0], [1.0, 0.0]], A=[[1.0, 0.0]], b=[0.25], lb=[0.0, 0.0], ub=[1.0, 1.0]
     )
+    R = restrict(prob, prob.lb, prob.ub)
     r = 1.0 / np.sqrt(2.0)
 
     def truncated(lp):
         sol = qpsolve.solve_lp(lp)
         return dataclasses.replace(sol, status=qpsolve.STATUS_MAXITER, x=None)
 
-    info = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), truncated).separable
-    assert info.L[0] == pytest.approx(-0.75 * r, abs=1e-6)
-    assert info.U[0] == pytest.approx(0.25 * r, abs=1e-6)
+    _, L, U = secant_range(R, build_separable_relaxation(R, truncated))
+    assert L == pytest.approx(-0.75 * r, abs=1e-6)
+    assert U == pytest.approx(0.25 * r, abs=1e-6)
 
     def uncertified(lp):
         return dataclasses.replace(qpsolve.solve_lp(lp), bound=-math.inf)
 
-    info = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), uncertified).separable
-    assert info.L[0] == pytest.approx(-r, abs=1e-6)
-    assert info.U[0] == pytest.approx(r, abs=1e-6)
+    _, L, U = secant_range(R, build_separable_relaxation(R, uncertified))
+    assert L == pytest.approx(-r, abs=1e-6)
+    assert U == pytest.approx(r, abs=1e-6)
 
 
 # --------------------------------------------------------- property invariants
