@@ -423,7 +423,7 @@ def _tighten_children(ints, lb, ub, free, children, certified, cutoff):
     kept, fixings = [], 0
     for c_lb, c_ub in children:
         new_lb, new_ub = np.maximum(c_lb, box_lo), np.minimum(c_ub, box_hi)
-        if np.any(new_lb > new_ub + 1e-12):
+        if (new_lb > new_ub + 1e-12).any():
             fixings += 1
             continue
         new_ub = np.maximum(new_ub, new_lb)

@@ -3,15 +3,22 @@ minimum eigenpairs, symmetric-definite pencils, orthonormal nullspace bases,
 and Gershgorin-style lower bounds.
 
 Instances here are desk scale (n up to a few hundred), so everything is dense
-and every factorization and eigensolve is a LAPACK call.
+and every factorization and eigensolve is a LAPACK call: numpy's, or a routine
+of `flapack`, scipy's compiled LAPACK extension loaded by itself.  Each
+flapack routine is called with the arguments scipy's eigh and qr pass it, so
+results keep scipy's bits without importing scipy's linalg package (about
+0.2 s and 25 MB per process).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 EIG_TOL = 1e-10        # residual guarantee for eigenpairs
 RANK_TOL = 1e-10       # relative rank threshold for nullspace bases
@@ -20,6 +27,33 @@ SYM_TOL = 1e-8         # relative asymmetry check_symmetric accepts
 
 class NotPositiveDefinite(ArithmeticError):
     """The right-hand matrix of a pencil is not positive definite."""
+
+
+def load_scipy_extension(name: str):
+    """The compiled extension module `name` of scipy (a dotted name such as
+    "scipy.linalg._flapack"): the one in sys.modules when scipy has imported
+    it, else its file in scipy's folder, loaded by itself.  Finding the
+    folder runs no scipy __init__, so the packages around the extension
+    stay unimported."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    *packages, stem = name.split(".")[1:]
+    folder = os.path.join(spec.submodule_search_locations[0], *packages)
+    paths = [os.path.join(folder, stem + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.exists(p)), None)
+    if path is None:
+        raise ImportError(f"the extension {name} is missing from {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
+# scipy's LAPACK routines (f2py wrappers), loaded once at import (a few ms)
+flapack = load_scipy_extension("scipy.linalg._flapack")
 
 
 @dataclass(frozen=True)
@@ -35,11 +69,11 @@ def check_symmetric(M, what: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{what} contains non-finite entries")
     if M.shape[0] > 1:
-        dev = float(np.max(np.abs(M - M.T)))
-        scale = 1.0 + float(np.max(np.abs(M)))
+        dev = float(np.abs(M - M.T).max())
+        scale = 1.0 + float(np.abs(M).max())
         if dev > SYM_TOL * scale:
             raise ValueError(f"{what} is not symmetric (max deviation {dev:.3e})")
     return 0.5 * (M + M.T)
@@ -72,18 +106,42 @@ def sym_eig_all(M) -> tuple[np.ndarray, np.ndarray]:
 
 def gen_eig_min(M, N) -> EigenPair:
     """Smallest eigenvalue lambda of the pencil M v = lambda N v with N
-    positive definite, by one LAPACK symmetric-definite eigensolve.  The
+    positive definite, by one LAPACK symmetric-definite eigensolve (dsygvx,
+    called as scipy's eigh(M, N, subset_by_index=[0, 0]) calls it).  The
     eigenvector is renormalized to unit 2-norm.  Raises NotPositiveDefinite
     when N is not positive definite."""
     M = check_symmetric(M, what="M")
     N = check_symmetric(N, what="N")
-    try:
-        w, V = scipy.linalg.eigh(M, N, subset_by_index=[0, 0])
-    except np.linalg.LinAlgError as exc:
-        if "not positive definite" not in str(exc):
-            raise       # a convergence failure, not a property of N
-        raise NotPositiveDefinite(str(exc)) from None
+    n = M.shape[0]
+    lwork = flapack.dsygvx_lwork(n, uplo="L")[0]
+    w, V, m, _, info = flapack.dsygvx(
+        M, N, itype=1, jobz="V", range="I", il=1, iu=1, uplo="L", lwork=int(lwork)
+    )
+    if info > n:
+        raise NotPositiveDefinite(f"leading minor {info - n} of N is not positive definite")
+    if info:
+        raise np.linalg.LinAlgError(f"dsygvx failed: info = {info}")
+    w, V = w[:m], V[:, :m]
     return EigenPair(float(w[0]), _fix_column_signs(V / np.linalg.norm(V))[:, 0])
+
+
+def pivoted_qr(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qr, tau, piv): the QR factorization with column pivoting of the
+    matrix a by LAPACK dgeqp3, called as scipy's qr(a, pivoting=True) calls
+    it.  R is np.triu(qr), the Householder vectors sit below its
+    diagonal with their scalars in tau, and piv holds the 0-based column
+    order.  Non-finite entries raise ValueError."""
+    a = np.asarray_chkfinite(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    if not a.size:
+        return np.empty_like(a), np.zeros(0), np.arange(a.shape[1], dtype=np.int32)
+    lwork = int(flapack.dgeqp3(a, lwork=-1)[3][0])
+    qr, piv, tau, _, info = flapack.dgeqp3(a, lwork=lwork)
+    if info:
+        raise ValueError(f"dgeqp3 rejected argument {-info}")
+    piv -= 1
+    return qr, tau, piv
 
 
 def nullspace_basis(A) -> np.ndarray:
@@ -97,8 +155,19 @@ def nullspace_basis(A) -> np.ndarray:
     n = A.shape[1]
     if A.shape[0] == 0 or not np.any(A):
         return np.eye(n)
-    Qf, R, _ = scipy.linalg.qr(A.T, mode="full", pivoting=True)
-    diag = np.abs(np.diag(R))
+    qr, tau, _ = pivoted_qr(A.T)
+    diag = np.abs(np.diag(qr))      # R's diagonal, read before dorgqr overwrites qr
+    # the full Q of A', formed as scipy's qr(mode="full") forms it
+    m = A.shape[0]
+    if n < m:
+        F = qr[:, :n]
+    else:
+        F = np.empty((n, n))
+        F[:, :m] = qr
+    lwork = int(flapack.dorgqr(F, tau, lwork=-1)[1][0])
+    Qf, _, info = flapack.dorgqr(F, tau, lwork=lwork, overwrite_a=1)
+    if info:
+        raise ValueError(f"dorgqr rejected argument {-info}")
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
     else:

@@ -2,9 +2,9 @@
 
 Two engines, one per problem class.  Linear models (the McCormick node LPs
 and the separable direction LPs) go to solve_lp: HiGHS dual simplex, whose
-compiled extension is loaded from scipy on the first LP solve without
-importing scipy.optimize.  A claimed infeasibility counts only once its
-dual ray passes the Farkas test.
+compiled extension is loaded from scipy's folder on the first LP solve
+(linalg.load_scipy_extension), without importing scipy.  A claimed
+infeasibility counts only once its dual ray passes the Farkas test.
 
 Quadratic models go to solve_convex_qp, a primal active-set method in
 bounded-variable form (Nocedal and Wright, Numerical Optimization, 2006,
@@ -48,17 +48,12 @@ point beats a given cutoff.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 import threading
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .relaxation import ConvexQpModel, relaxed_objective_at
@@ -112,7 +107,7 @@ def _interval_presolve(model: ConvexQpModel) -> bool:
     """Cheap emptiness certificate: row ranges of Az over the box.  Returns
     True when the model is provably infeasible."""
     lb, ub = model.lb, model.ub
-    if np.any(lb > ub + 1e-12):
+    if (lb > ub + 1e-12).any():
         return True
     # C rows have no lower requirement
     for rows, lo_req, hi_req in ((model.A, model.b, model.b), (model.C, None, model.d)):
@@ -120,12 +115,12 @@ def _interval_presolve(model: ConvexQpModel) -> bool:
             continue
         lo_range = np.minimum(rows * lb, rows * ub).sum(axis=1)
         hi_range = np.maximum(rows * lb, rows * ub).sum(axis=1)
-        slack = 1e-9 * (1.0 + np.max(np.abs(rows), initial=0.0)) * (
-            1.0 + np.max(np.abs(ub), initial=0.0) + np.max(np.abs(lb), initial=0.0)
+        slack = 1e-9 * (1.0 + np.abs(rows).max(initial=0.0)) * (
+            1.0 + np.abs(ub).max(initial=0.0) + np.abs(lb).max(initial=0.0)
         )
-        if (lo_req is not None and np.any(hi_range < lo_req - slack)) or np.any(
+        if (lo_req is not None and (hi_range < lo_req - slack).any()) or (
             lo_range > hi_req + slack
-        ):
+        ).any():
             return True
     return False
 
@@ -156,19 +151,19 @@ def _kkt_solve(K, rhs):
     working set is kept independent, so only rounding can make it so."""
     if not rhs.size:
         return rhs
-    s, info = scipy.linalg.lapack.dgesv(K, rhs)[2:]
+    s, info = linalg.flapack.dgesv(K, rhs)[2:]
     return s if info == 0 else np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
 def _independent_rows(A) -> np.ndarray:
     """Ascending indices of a largest linearly independent set of A's rows,
     by QR with column pivoting of A', rank counted as in
-    linalg.nullspace_basis (diagonal magnitudes above linalg.RANK_TOL
+    linalg.nullspace_basis (diagonal magnitudes of R above linalg.RANK_TOL
     relative to the largest)."""
     if A.shape[0] <= 1:
         return np.flatnonzero(np.any(A != 0.0, axis=1))
-    R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
+    qr, _, piv = linalg.pivoted_qr(A.T)
+    diag = np.abs(np.diag(qr))
     rank = int(np.sum(diag > linalg.RANK_TOL * diag.max(initial=0.0))) if diag.size else 0
     return np.sort(piv[:rank])
 
@@ -220,7 +215,7 @@ def _start(model: ConvexQpModel, P, c, deadline):
         at = np.where(x <= lb, -1, np.where(x >= ub, 1, 0))
         if model.A.shape[0]:
             a = np.abs(model.A[0])
-            if not np.any(a[at == 0]) and np.any(a[~pinned]):
+            if not a[at == 0].any() and a[~pinned].any():
                 at[int(np.argmax(np.where(pinned, 0.0, a)))] = 0
         return x, at, True
     phase1 = solve_lp(replace(model, Q=None, q=np.zeros(model.nvar)), deadline)
@@ -409,11 +404,11 @@ def _bound(model: ConvexQpModel, x, nu, mu, curvature: float, reduced: bool):
         abs(model.offset)
         + float(np.abs(nu) @ np.abs(model.b))
         + float(mu @ np.abs(model.d))
-        + float(np.sum(np.abs(contrib)))
+        + float(np.abs(contrib).sum())
         + abs(quad)
         + abs(reach)
     )
-    bound = base + float(np.sum(contrib)) - quad + reach - BOUND_GUARD * (1.0 + magnitude)
+    bound = base + float(contrib.sum()) - quad + reach - BOUND_GUARD * (1.0 + magnitude)
     return bound, lin
 
 
@@ -493,29 +488,16 @@ def solve_convex_qp(
     return _solution(model, status, x, nu, mu, z, it, curvature)
 
 
-def _load_highs():
-    """HiGHS's compiled extension as shipped inside scipy, loaded by itself:
-    importing scipy.optimize around it would add about 19 MB and 0.3 s to
-    every process that solves an LP."""
-    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
-    paths = [os.path.join(folder, "_core" + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.exists(p)), None)
-    if path is None:
-        raise ImportError(f"the HiGHS extension of scipy is missing from {folder}")
-    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS_CORE, loader))
-    loader.exec_module(module)
-    return module
-
-
 def _highs():
-    """The HiGHS extension, loaded on the first LP solve (reused when
-    scipy.optimize has already imported it); the lock makes that first load
+    """HiGHS's compiled extension as shipped inside scipy, loaded by itself
+    on the first LP solve (reused when scipy.optimize has already imported
+    it): importing scipy.optimize around it would add about 19 MB and 0.3 s
+    to every process that solves an LP.  The lock makes that first load
     happen once when a caller's threads race for it."""
     global _highs_core
     with _highs_lock:
         if _highs_core is None:
-            _highs_core = sys.modules.get(_HIGHS_CORE) or _load_highs()
+            _highs_core = linalg.load_scipy_extension(_HIGHS_CORE)
     return _highs_core
 
 

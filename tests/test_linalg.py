@@ -297,3 +297,92 @@ class TestColumnSigns:
             Z = nullspace_basis(A)
             Qf = scipy.linalg.qr(A.T, mode="full", pivoting=True)[0]
             _assert_same_bits(Z, _fix_sign_per_column(Qf[:, A.shape[1] - Z.shape[1]:]))
+
+
+# -------------------------------- scipy.linalg parity: the same LAPACK calls
+
+
+class TestScipyParity:
+    """gen_eig_min, pivoted_qr and nullspace_basis call scipy's LAPACK
+    extension directly; their results keep the bits of the scipy.linalg
+    calls they replace."""
+
+    def test_gen_eig_min_matches_eigh(self):
+        rng = np.random.default_rng(24)
+        for n in range(1, 13):
+            for scale in (1.0, 1e-3, 1e3):
+                M = random_symmetric(rng, n, scale)
+                B = rng.standard_normal((n, n))
+                for N in (np.eye(n) + B @ B.T, np.diag(rng.uniform(0.1, 10.0, n))):
+                    S, T = 0.5 * (M + M.T), 0.5 * (N + N.T)
+                    w, V = scipy.linalg.eigh(S, T, subset_by_index=[0, 0])
+                    ref = linalg._fix_column_signs(V / np.linalg.norm(V))[:, 0]
+                    pair = gen_eig_min(M, N)
+                    assert pair.value == float(w[0])
+                    _assert_same_bits(pair.vector, ref)
+
+    def test_indefinite_n_of_any_order_rejected(self):
+        # the failing leading minor is the last one
+        for n in (1, 3, 8):
+            N = np.eye(n)
+            N[-1, -1] = -1e-3
+            with pytest.raises(NotPositiveDefinite):
+                gen_eig_min(np.eye(n), N)
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                scipy.linalg.eigh(np.eye(n), N, subset_by_index=[0, 0])
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(25)
+        wide = rng.standard_normal((2, 7))
+        wide[:, :3] = 0.0
+        deficient = rng.standard_normal((4, 6))
+        deficient[3] = deficient[0] - 2.0 * deficient[1]
+        tall_deficient = rng.standard_normal((7, 4))
+        tall_deficient[:, 2] = tall_deficient[:, 0]
+        return [
+            ("tall", rng.standard_normal((7, 4))),
+            ("tall rank-deficient", tall_deficient),
+            ("square", rng.standard_normal((5, 5))),
+            ("wide", wide),
+            ("one row", rng.standard_normal((1, 5))),
+            ("one sparse row", np.array([[1.0, -1.0, 0.0, 0.0]])),
+            ("rank-deficient", deficient),
+            ("repeated rows", np.tile(rng.standard_normal(3), (3, 1))),
+        ]
+
+    def test_pivoted_qr_matches_qr(self):
+        for what, A in self._matrices():
+            (qr, tau), _, piv = scipy.linalg.qr(A.T, mode="raw", pivoting=True)
+            R = scipy.linalg.qr(A.T, mode="r", pivoting=True)[0]
+            got_qr, got_tau, got_piv = linalg.pivoted_qr(A.T)
+            assert np.array_equal(got_qr, qr), what
+            assert np.array_equal(got_tau, tau), what
+            assert np.array_equal(got_piv, piv) and got_piv.dtype == piv.dtype, what
+            assert np.array_equal(np.triu(got_qr), R), what
+
+    def test_nullspace_basis_matches_full_qr(self):
+        for what, A in self._matrices():
+            Qf, R, _ = scipy.linalg.qr(A.T, mode="full", pivoting=True)
+            diag = np.abs(np.diag(R))
+            rank = int(np.sum(diag > linalg.RANK_TOL * diag[0]))
+            _assert_same_bits(nullspace_basis(A), linalg._fix_column_signs(Qf[:, rank:]))
+
+    def test_size_zero_qr_matches_qr(self):
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            a = np.zeros(shape)
+            R, piv = scipy.linalg.qr(a, mode="r", pivoting=True)
+            qr, tau, got_piv = linalg.pivoted_qr(a)
+            assert np.triu(qr).shape == R.shape and tau.size == 0
+            assert np.array_equal(got_piv, piv) and got_piv.dtype == piv.dtype
+
+    def test_non_finite_input_rejected(self):
+        for bad in (np.nan, np.inf):
+            A = np.ones((2, 3))
+            A[1, 2] = bad
+            with pytest.raises(ValueError):
+                nullspace_basis(A)
+            with pytest.raises(ValueError):
+                linalg.pivoted_qr(A.T)
+            with pytest.raises(ValueError):
+                scipy.linalg.qr(A.T, mode="full", pivoting=True)

@@ -11,10 +11,11 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectralqp import bnb, oracle, problem, qpsolve
+from spectralqp import bnb, linalg, oracle, problem, qpsolve
 from spectralqp.relaxation import ConvexQpModel, NodeInfeasible, relaxed_objective_at
 
 
@@ -141,6 +142,88 @@ print(qpsolve._highs_core is None, "scipy.optimize" in sys.modules)
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert proc.stdout.split() == ["True", "False", "False", "False"]
+
+
+def test_solver_never_imports_scipy():
+    # scipy's LAPACK and HiGHS extensions are loaded by themselves, from
+    # scipy's folder: importing the scipy.linalg package would cost every
+    # process about 0.2 s and 25 MB.  The eiqp eigz run (two equality rows)
+    # reaches the pencil eigensolve, the nullspace basis and the pivoted QR
+    # of _independent_rows; auto reaches HiGHS
+    script = """
+import sys
+import spectralqp.cli
+from spectralqp.bnb import SolverConfig, solve
+from spectralqp.problem import GeneratorSpec, generate_random
+cbqp = generate_random(GeneratorSpec(family="cbqp", n=8, k=2, seed=0))
+eiqp = generate_random(GeneratorSpec(family="eiqp", n=6, m=2, seed=0))
+for prob, mode in ((cbqp, "eig"), (eiqp, "eigz"), (cbqp, "auto")):
+    assert solve(prob, SolverConfig(relaxation=mode)).status == "optimal"
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    mods = proc.stdout.split()
+    # the extension modules register themselves (and HiGHS its submodules);
+    # no scipy package, scipy itself included, is ever imported
+    assert "scipy.linalg._flapack" in mods
+    assert [m for m in mods if not m.startswith(("scipy.linalg._flapack", qpsolve._HIGHS_CORE))] == []
+
+
+def test_extensions_already_imported_by_scipy_are_reused():
+    script = """
+import sys
+import scipy.linalg, scipy.optimize
+from spectralqp import linalg, qpsolve
+print(linalg.flapack is sys.modules["scipy.linalg._flapack"],
+      qpsolve._highs() is sys.modules[qpsolve._HIGHS_CORE])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["True", "True"]
+
+
+def test_independent_rows_match_pivoted_qr():
+    # the rows _independent_rows keeps are those of scipy.linalg.qr's pivots
+    rng = np.random.default_rng(24)
+    deficient = rng.standard_normal((4, 6))
+    deficient[3] = deficient[0] - 2.0 * deficient[1]
+    tall_deficient = rng.standard_normal((3, 7))
+    tall_deficient[:, 2] = 0.0
+    cases = [
+        rng.standard_normal((7, 4)),            # more rows than columns
+        rng.standard_normal((3, 7)),
+        tall_deficient,
+        rng.standard_normal((1, 5)),
+        deficient,
+        np.tile(rng.standard_normal(4), (3, 1)),
+        np.zeros((3, 0)),                       # every column pinned
+    ]
+    for A in cases:
+        got = qpsolve._independent_rows(A)
+        if A.shape[0] <= 1:
+            assert np.array_equal(got, np.flatnonzero(A.any(axis=1)))
+            continue
+        R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
+        diag = np.abs(np.diag(R))
+        rank = int(np.sum(diag > linalg.RANK_TOL * diag.max(initial=0.0))) if diag.size else 0
+        ref = np.sort(piv[:rank])
+        assert np.array_equal(got, ref) and got.dtype == ref.dtype
+    A = np.ones((2, 3))
+    A[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        qpsolve._independent_rows(A)
+
+
+def test_kkt_solve_matches_scipy_dgesv():
+    rng = np.random.default_rng(25)
+    for n in (1, 4, 9):
+        K = rng.standard_normal((n, n)) + n * np.eye(n)
+        rhs = rng.standard_normal(n)
+        ref = scipy.linalg.lapack.dgesv(K, rhs)[2]
+        assert np.array_equal(qpsolve._kkt_solve(K, rhs), ref)
 
 
 def test_highs_first_load_runs_once_under_threads():
