@@ -117,7 +117,7 @@ def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
             model = build_mccormick_relaxation(R)
             sol = qpsolve.solve_lp(model)
         elif method == "separable":
-            model = build_separable_relaxation(R, qpsolve.solve_lp)
+            model = build_separable_relaxation(R, qpsolve.solve_lps)
             sol = qpsolve.solve_convex_qp(model)
         else:
             raise ValueError(f"unknown relaxation {method!r}")

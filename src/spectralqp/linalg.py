@@ -34,7 +34,11 @@ def load_scipy_extension(name: str):
     "scipy.linalg._flapack"): the one in sys.modules when scipy has imported
     it, else its file in scipy's folder, loaded by itself.  Finding the
     folder runs no scipy __init__, so the packages around the extension
-    stay unimported."""
+    stay unimported.  The entry the load itself puts in sys.modules under
+    `name` is taken out again: the import system binds a submodule to its
+    package only when it loads the submodule, so a later import of the
+    package loads it once more (from the interpreter's cache of extension
+    modules, with the same routines) and sets the package attribute."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec("scipy")
@@ -49,6 +53,7 @@ def load_scipy_extension(name: str):
     loader = importlib.machinery.ExtensionFileLoader(name, path)
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
     loader.exec_module(module)
+    sys.modules.pop(name, None)
     return module
 
 

@@ -1,9 +1,12 @@
 """Convex QP and LP solvers for relaxation subproblems.
 
-Two engines, one per problem class.  Linear models (the McCormick node LPs
-and the separable direction LPs) go to solve_lp: HiGHS dual simplex, whose
-compiled extension is loaded from scipy's folder on the first LP solve
-(linalg.load_scipy_extension), without importing scipy.  A claimed
+Two engines, one per problem class.  Linear models go to HiGHS dual
+simplex, whose compiled extension is loaded from scipy's folder on the first
+LP solve (linalg.load_scipy_extension), without importing scipy.
+solve_lps solves one model for a list of costs (the separable direction
+LPs of a node) on one HiGHS instance, clearing its solver state before each
+further run, so that each result is bitwise that of a fresh solve;
+solve_lp is its one-cost case (the McCormick node LPs).  A claimed
 infeasibility counts only once its dual ray passes the Farkas test.
 
 Quadratic models go to solve_convex_qp, a primal active-set method in
@@ -502,17 +505,30 @@ def _highs():
 
 
 def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
-    """Solve a linear model (model.Q absent or zero) with HiGHS dual simplex;
-    `deadline` (a time.monotonic() value) becomes HiGHS's time limit and
-    `iterations` counts simplex iterations.  Statuses: optimal, infeasible
-    (certified by _interval_presolve, or by HiGHS's dual ray passing the
-    Farkas test), else max_iter.  `bound` is +inf for an infeasible model,
-    -inf for an infeasibility HiGHS claims but cannot certify, else _bound at
-    HiGHS's multipliers, which with Q absent is their weak-duality value."""
+    """Solve a linear model (model.Q absent or zero) with HiGHS dual simplex:
+    solve_lps with the model's own cost."""
+    return solve_lps(model, [model.q], deadline)[0]
+
+
+def solve_lps(model: ConvexQpModel, costs, deadline: float | None = None) -> list[QpSolution]:
+    """Solve the linear model (model.Q absent or zero) once for each cost
+    vector in `costs`, in order, with HiGHS dual simplex: one interval
+    presolve and one HiGHS model, whose cost is changed and whose solver
+    state is cleared before each further run, so that every run is cold and
+    its result bitwise that of a fresh solve of replace(model, q=cost).
+    `deadline` (a time.monotonic() value) becomes HiGHS's time limit for
+    each run and `iterations` counts simplex iterations.  Statuses: optimal,
+    infeasible (certified by _interval_presolve, or by HiGHS's dual ray
+    passing the Farkas test, after which the remaining costs need no run:
+    the region is the same), else max_iter.  `bound` is +inf for an
+    infeasible model, -inf for an infeasibility HiGHS claims but cannot
+    certify, else _bound at HiGHS's multipliers, which with Q absent is
+    their weak-duality value."""
     if model.Q is not None and np.any(model.Q):
-        raise ValueError("solve_lp requires a linear objective")
-    if _interval_presolve(model):
-        return _infeasible(model)
+        raise ValueError("an LP solve requires a linear objective")
+    models = [model if cost is model.q else replace(model, q=cost) for cost in costs]
+    if not models or _interval_presolve(model):
+        return [_infeasible(sub) for sub in models]
     hc = _highs()
     n, m, p = model.nvar, model.A.shape[0], model.C.shape[0]
     M = np.vstack([model.A, model.C])
@@ -529,7 +545,7 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
     mat.value_ = M[rows, cols]
     lp = hc.HighsLp()
     lp.num_col_, lp.num_row_ = n, m + p
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.q, model.lb, model.ub
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = models[0].q, model.lb, model.ub
     lp.row_lower_, lp.row_upper_ = row_lo, row_hi
     lp.a_matrix_ = mat
     highs = hc._Highs()
@@ -537,10 +553,32 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
     highs.setOptionValue("threads", 1)
     highs.setOptionValue("solver", "simplex")
     highs.setOptionValue("simplex_strategy", 1)        # dual simplex
-    if deadline is not None:
-        highs.setOptionValue("time_limit", max(deadline - time.monotonic(), 0.0))
     highs.passModel(lp)
-    highs.run()
+    sols: list[QpSolution] = []
+    for j, sub in enumerate(models):
+        if sols and sols[-1].status == STATUS_INFEASIBLE:
+            sols.append(_infeasible(sub))
+            continue
+        if j:
+            # a warm re-solve from the last basis moves bounds in the 11th digit
+            highs.changeColsCost(n, np.arange(n, dtype=np.int32), sub.q)
+            highs.clearSolver()
+        if deadline is not None:
+            # HiGHS measures its time limit on a run clock that adds up
+            # over the runs of one instance
+            highs.setOptionValue(
+                "time_limit", highs.getRunTime() + max(deadline - time.monotonic(), 0.0)
+            )
+        highs.run()
+        sols.append(_lp_solution(hc, highs, sub, M, row_lo, row_hi))
+    return sols
+
+
+def _lp_solution(hc, highs, model: ConvexQpModel, M, row_lo, row_hi) -> QpSolution:
+    """The solution of the run `highs` has just made on the model, whose
+    rows M hold the equality rows first and then the C rows, with ranges
+    [row_lo, row_hi]."""
+    n, m, p = model.nvar, model.A.shape[0], model.C.shape[0]
     status = highs.getModelStatus()
     iterations = int(highs.getInfo().simplex_iteration_count)
 

@@ -286,34 +286,36 @@ def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel:
     replace each negative one by its secant
     lambda_t ((L_t + U_t) v_t'x - L_t U_t) over direction bounds
     [L_t, U_t], which is linear in x; zero eigendirections are dropped.
-    The result is a convex QP with R's rows and box.  The bounds come from
-    minimizing and maximizing v_t'x over R's feasible set with `lp_solve`
-    (two LP solves per negative direction, each tightening the
-    interval-arithmetic range by its certified `bound`).  Raises
-    NodeInfeasible when a direction LP certifies emptiness."""
+    The result is a convex QP with R's rows and box.  Each [L_t, U_t]
+    starts as the interval-arithmetic range of v_t'x over the box.  When R
+    has rows, one call lp_solve(model, costs) (as qpsolve.solve_lps) bounds
+    v_1'x, -v_1'x, v_2'x, -v_2'x, ... from below over R's feasible set, and
+    each certified `bound` tightens its end of the range.  Without rows no
+    LP is solved: a certified bound lies below the box minimum, so it would
+    leave the range as it is.  Raises NodeInfeasible when a direction LP
+    certifies emptiness."""
     w, V = linalg.sym_eig_all(R.Q)
     pos = w > ZERO_EIG_TOL
     neg = np.where(w < -ZERO_EIG_TOL)[0]
     lam = w[neg]
     Vn = V[:, neg]
 
+    costs = [sign_ * Vn[:, t] for t in range(neg.size) for sign_ in (1.0, -1.0)]
+    bounds = [-math.inf] * len(costs)
+    if costs and (R.A.shape[0] or R.C.shape[0]):
+        lp = replace(R, kind="direction_lp", Q=None, q=costs[0], offset=0.0)
+        bounds = [sol.bound for sol in lp_solve(lp, costs)]
+        if math.inf in bounds:
+            raise NodeInfeasible("direction bound LP certified an empty node")
     L = np.empty(neg.size)
     U = np.empty(neg.size)
     for t in range(neg.size):
         v = Vn[:, t]
         lo_iv = float(np.minimum(v * R.lb, v * R.ub).sum())
         hi_iv = float(np.maximum(v * R.lb, v * R.ub).sum())
-        lo, hi = lo_iv, hi_iv
-        for sign_, slot in ((1.0, "lo"), (-1.0, "hi")):
-            lp = replace(R, kind="direction_lp", Q=None, q=sign_ * v, offset=0.0)
-            bound = lp_solve(lp).bound
-            if bound == math.inf:
-                raise NodeInfeasible("direction bound LP certified an empty node")
-            # min v'x >= bound and max v'x <= -bound; -inf keeps the interval
-            if slot == "lo":
-                lo = max(lo_iv, min(bound, hi_iv))
-            else:
-                hi = min(hi_iv, max(-bound, lo_iv))
+        # min v'x >= bound and max v'x <= -bound; -inf keeps the interval
+        lo = max(lo_iv, min(bounds[2 * t], hi_iv))
+        hi = min(hi_iv, max(-bounds[2 * t + 1], lo_iv))
         margin = 1e-7 * (1.0 + abs(lo) + abs(hi))
         L[t] = lo - margin
         U[t] = hi + margin

@@ -378,7 +378,7 @@ def test_criterion_09_underestimation_and_envelope():
             build_spectral_relaxation(R, compute_shift_geig(R.Q, R.A)),
             build_spectral_relaxation(R, compute_shift_eigz_approx(R.Q, R.A)[0]),
             build_mccormick_relaxation(R),
-            build_separable_relaxation(R, qpsolve.solve_lp),
+            build_separable_relaxation(R, qpsolve.solve_lps),
         ]
         for _ in range(5):
             x = _feasible_point(rng, prob, x0)

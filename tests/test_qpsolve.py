@@ -165,10 +165,9 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     mods = proc.stdout.split()
-    # the extension modules register themselves (and HiGHS its submodules);
-    # no scipy package, scipy itself included, is ever imported
-    assert "scipy.linalg._flapack" in mods
-    assert [m for m in mods if not m.startswith(("scipy.linalg._flapack", qpsolve._HIGHS_CORE))] == []
+    # only HiGHS's extension registers its own submodules; no scipy
+    # package, scipy itself included, is ever imported
+    assert [m for m in mods if not m.startswith(qpsolve._HIGHS_CORE + ".")] == []
 
 
 def test_extensions_already_imported_by_scipy_are_reused():
@@ -183,6 +182,27 @@ print(linalg.flapack is sys.modules["scipy.linalg._flapack"],
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert proc.stdout.split() == ["True", "True"]
+
+
+def test_scipy_imported_after_the_solver_binds_its_extensions():
+    # the solver's own loads leave no entry that keeps scipy's import from
+    # setting its package attributes; the extension cache hands scipy the
+    # same routines
+    script = """
+import numpy as np
+import spectralqp.cli
+from spectralqp import linalg, qpsolve
+highs = qpsolve._highs()
+import scipy.linalg, scipy.optimize
+print(scipy.linalg._flapack.dsygvx is linalg.flapack.dsygvx,
+      scipy.optimize._highspy._core is highs,
+      bool(np.allclose(scipy.linalg.eigh(np.diag([2.0, 1.0]))[0], [1.0, 2.0])),
+      scipy.optimize.linprog([1.0], bounds=[(0.5, 1.0)], method="highs").fun)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["True", "True", "True", "0.5"]
 
 
 def test_independent_rows_match_pivoted_qr():
@@ -366,28 +386,26 @@ def test_lp_past_deadline_stops_with_a_valid_bound():
 
 
 def _small_lps(family, n, seed, shrink):
-    """The root McCormick LP and the direction LPs of a small generated
-    instance, its box shrunk toward a random point by `shrink`."""
-    from spectralqp.relaxation import (
-        build_mccormick_relaxation, build_separable_relaxation, restrict,
-    )
+    """[(model, costs)]: the root McCormick LP of a small generated
+    instance with its own cost, and the direction LP of the separable
+    relaxation with v_1, -v_1, v_2, -v_2, ... over the negative
+    eigendirections of the node's Q (when it has any), the box shrunk
+    toward a random point by `shrink`."""
+    from spectralqp.relaxation import ZERO_EIG_TOL, build_mccormick_relaxation, restrict
 
     kw = {"k": max(1, n // 3)} if family == "cbqp" else {"m": 1} if family == "eiqp" else {}
     prob = problem.generate_random(problem.GeneratorSpec(family=family, n=n, seed=seed, **kw))
     rng = np.random.default_rng(seed)
     mid = rng.uniform(prob.lb, prob.ub)
     R = restrict(prob, prob.lb + shrink * (mid - prob.lb), prob.ub - shrink * (prob.ub - mid))
-    models = [build_mccormick_relaxation(R)]
-
-    def record(lp):
-        models.append(lp)
-        return qpsolve.solve_lp(lp)
-
-    try:
-        build_separable_relaxation(R, record)
-    except NodeInfeasible:
-        pass
-    return models
+    mccormick = build_mccormick_relaxation(R)
+    lps = [(mccormick, [mccormick.q])]
+    w, V = linalg.sym_eig_all(R.Q)
+    costs = [s * V[:, t] for t in np.flatnonzero(w < -ZERO_EIG_TOL) for s in (1.0, -1.0)]
+    if costs:
+        lp = dataclasses.replace(R, kind="direction_lp", Q=None, q=costs[0], offset=0.0)
+        lps.append((lp, costs))
+    return lps
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,20 +418,130 @@ def _small_lps(family, n, seed, shrink):
 @example("eiqp", 2, 208, 0.0)     # root LPs that the former ADMM QP engine
 @example("eiqp", 4, 5015, 0.3)    # ran to max_iter on
 def test_lp_bound_is_certified_and_exact(family, n, seed, shrink):
-    for model in _small_lps(family, n, seed, shrink):
-        sol = qpsolve.solve_lp(model)
-        if sol.status == qpsolve.STATUS_INFEASIBLE:
-            continue
-        assert sol.status == qpsolve.STATUS_OPTIMAL
-        # weak duality at a feasible point, with no gap left
-        assert sol.bound <= sol.objective
-        assert sol.objective - sol.bound <= 1e-6 * (1.0 + abs(sol.bound))
-        # the QP entry point hands a linear model to HiGHS: optimal, with the
-        # same certificate
-        ref = qpsolve.solve_convex_qp(model)
-        assert ref.status == qpsolve.STATUS_OPTIMAL
-        assert ref.bound <= sol.objective
-        assert abs(sol.bound - ref.bound) <= 1e-6 * (1.0 + abs(ref.bound))
+    for lp, costs in _small_lps(family, n, seed, shrink):
+        for cost in costs:
+            model = dataclasses.replace(lp, q=cost)
+            sol = qpsolve.solve_lp(model)
+            if sol.status == qpsolve.STATUS_INFEASIBLE:
+                continue
+            assert sol.status == qpsolve.STATUS_OPTIMAL
+            # weak duality at a feasible point, with no gap left
+            assert sol.bound <= sol.objective
+            assert sol.objective - sol.bound <= 1e-6 * (1.0 + abs(sol.bound))
+            # the QP entry point hands a linear model to HiGHS: optimal, with
+            # the same certificate
+            ref = qpsolve.solve_convex_qp(model)
+            assert ref.status == qpsolve.STATUS_OPTIMAL
+            assert ref.bound <= sol.objective
+            assert abs(sol.bound - ref.bound) <= 1e-6 * (1.0 + abs(ref.bound))
+
+
+def _assert_same_bits(sol, ref):
+    """Two solutions agree bit for bit in every field."""
+    assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+    assert repr(sol.objective) == repr(ref.objective) and repr(sol.bound) == repr(ref.bound)
+    for name in ("x", "nu", "mu", "pi_l", "pi_u", "slope"):
+        a, b = getattr(sol, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["cbqp", "boxqp", "eiqp"]),
+    st.integers(2, 6),
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.3]),
+    st.booleans(),
+)
+def test_solve_lps_is_one_fresh_solve_per_cost(family, n, seed, shrink, c_rows):
+    # each cost's run is cold: the cleared solver gives the bits of a fresh
+    # solve_lp of the model with that cost, multipliers, bound and
+    # iteration count included, with or without the model's C rows
+    rng = np.random.default_rng(seed)
+    for lp, costs in _small_lps(family, n, seed, shrink):
+        if not c_rows:
+            lp = dataclasses.replace(lp, C=np.zeros((0, lp.nvar)), d=np.zeros(0))
+        costs = costs + [-lp.q, rng.uniform(-1.0, 1.0, lp.nvar)]
+        sols = qpsolve.solve_lps(lp, costs)
+        assert len(sols) == len(costs)
+        for cost, sol in zip(costs, sols):
+            _assert_same_bits(sol, qpsolve.solve_lp(dataclasses.replace(lp, q=cost)))
+
+
+def test_solve_lps_jointly_empty_rows_certify_every_cost():
+    # the dual ray of the first run certifies the region empty; the other
+    # costs share the region and need no run
+    model = make_model(
+        None,
+        [1.0, -1.0, 0.5],
+        A=[[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]],
+        b=[1.5, 0.2],
+        lb=np.zeros(3),
+        ub=np.ones(3),
+        kind="lp",
+    )
+    assert not qpsolve._interval_presolve(model)
+    costs = [model.q, -model.q, np.array([0.0, 2.0, -1.0])]
+    sols = qpsolve.solve_lps(model, costs)
+    assert [sol.status for sol in sols] == [qpsolve.STATUS_INFEASIBLE] * 3
+    assert [sol.bound for sol in sols] == [math.inf] * 3
+    assert [sol.iterations for sol in sols[1:]] == [0, 0]
+    # an empty box is certified by the presolve, with no run at all
+    empty = dataclasses.replace(model, lb=np.array([0.0, 0.6, 0.0]), ub=np.array([1.0, 0.5, 1.0]))
+    assert [sol.bound for sol in qpsolve.solve_lps(empty, costs)] == [math.inf] * 3
+    assert qpsolve.solve_lps(model, []) == []
+
+
+def _root_mccormick(n=20, k=5):
+    from spectralqp.relaxation import build_mccormick_relaxation, restrict
+
+    prob = problem.generate_random(problem.GeneratorSpec(family="cbqp", n=n, k=k, seed=0))
+    return build_mccormick_relaxation(restrict(prob, prob.lb, prob.ub))
+
+
+def test_solve_lps_past_deadline_stops_every_cost_with_a_valid_bound():
+    model = _root_mccormick()
+    costs = [model.q, -model.q, np.random.default_rng(3).uniform(-1.0, 1.0, model.nvar)]
+    refs = qpsolve.solve_lps(model, costs)
+    sols = qpsolve.solve_lps(model, costs, deadline=time.monotonic() - 1.0)
+    for sol, ref in zip(sols, refs):
+        assert ref.status == qpsolve.STATUS_OPTIMAL and ref.iterations > 0
+        assert sol.status == qpsolve.STATUS_MAXITER
+        assert sol.iterations < ref.iterations
+        assert sol.bound <= ref.objective
+
+
+def test_solve_lps_time_limit_counts_from_each_run(monkeypatch):
+    # HiGHS's run clock adds up over the runs of one instance, so each run's
+    # limit is the time already run plus what is left to the deadline
+    core = qpsolve._highs()
+    seen = []
+
+    class Recording:
+        def __init__(self):
+            self._highs = core._Highs()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def setOptionValue(self, name, value):
+            if name == "time_limit":
+                seen.append((self._highs.getRunTime(), value, time.monotonic()))
+            return self._highs.setOptionValue(name, value)
+
+    fake = types.ModuleType("fake_highs")
+    fake.__dict__.update(vars(core))
+    fake._Highs = Recording
+    monkeypatch.setattr(qpsolve, "_highs", lambda: fake)
+    model = _root_mccormick()
+    deadline = time.monotonic() + 60.0
+    sols = qpsolve.solve_lps(model, [model.q, -model.q, model.q], deadline=deadline)
+    assert [sol.status for sol in sols] == [qpsolve.STATUS_OPTIMAL] * 3
+    assert len(seen) == 3 and seen[0][0] == 0.0 < seen[1][0] < seen[2][0]
+    for ran, limit, after in seen:
+        assert deadline - after <= limit - ran <= 60.0
 
 
 def test_reduced_inconsistent_equalities():
@@ -729,7 +857,7 @@ def test_separable_root_qp_converges():
 
     # the separable model lives over the node's own variables
     prob = problem.generate_random(problem.GeneratorSpec(family="eiqp", n=6, m=1, seed=209))
-    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
+    model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lps)
     assert model.nvar == 6
     assert qpsolve.solve_convex_qp(model).status == qpsolve.STATUS_OPTIMAL
 
@@ -912,7 +1040,7 @@ def _node_qps(family, n, seed, shrink, m):
         for mode in ("eig", "geig", "eigz")
     ]
     try:
-        models.append(build_separable_relaxation(R, qpsolve.solve_lp))
+        models.append(build_separable_relaxation(R, qpsolve.solve_lps))
     except NodeInfeasible:
         pass
     return models

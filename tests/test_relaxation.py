@@ -580,7 +580,7 @@ def secant_range(R, model):
 def test_separable_bilinear_half():
     prob = box_problem([[0.0, 1.0], [1.0, 0.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     R = restrict(prob, prob.lb, prob.ub)
-    model = build_separable_relaxation(R, qpsolve.solve_lp)
+    model = build_separable_relaxation(R, qpsolve.solve_lps)
     lam, L, U = secant_range(R, model)
     assert lam == pytest.approx(-1.0, abs=1e-12)
     assert np.allclose(model.Q, 0.5 * np.ones((2, 2)), atol=1e-12)   # the PSD part
@@ -598,9 +598,9 @@ def test_separable_drops_zero_eigendirections():
     prob = box_problem([[1.0, 1.0], [1.0, 1.0]], lb=[0.0, 0.0], ub=[1.0, 1.0])
     lps = []
 
-    def record(lp):
+    def record(lp, costs):
         lps.append(lp)
-        return qpsolve.solve_lp(lp)
+        return qpsolve.solve_lps(lp, costs)
 
     R = restrict(prob, prob.lb, prob.ub)
     model = build_separable_relaxation(R, record)
@@ -609,6 +609,67 @@ def test_separable_drops_zero_eigendirections():
     assert np.allclose(model.Q, prob.Q, atol=1e-12)
     assert model.nvar == prob.n
     assert model.A.shape == (0, 2) and model.C.shape == (0, 2)
+
+
+def test_separable_solves_all_directions_in_one_call():
+    # one lp_solve call per node, on one direction model, with the costs
+    # v_1, -v_1, v_2, -v_2, ... of the negative eigendirections
+    rng = np.random.default_rng(43)
+    n = 5
+    B = rand_sym(rng, n)
+    prob = box_problem(
+        -B @ B - np.eye(n), A=[rng.uniform(0.5, 1.5, n)], b=[1.5], lb=np.zeros(n), ub=np.ones(n),
+    )
+    R = restrict(prob, prob.lb, prob.ub)
+    calls = []
+
+    def record(lp, costs):
+        calls.append((lp, costs))
+        return qpsolve.solve_lps(lp, costs)
+
+    build_separable_relaxation(R, record)
+    w, V = linalg.sym_eig_all(R.Q)
+    Vn = V[:, w < -ZERO_EIG_TOL]
+    assert Vn.shape[1] == n and len(calls) == 1
+    lp, costs = calls[0]
+    assert lp.kind == "direction_lp" and lp.Q is None and lp.offset == 0.0
+    assert np.array_equal(lp.q, costs[0])
+    assert np.array_equal(lp.A, R.A) and np.array_equal(lp.lb, R.lb) and np.array_equal(lp.ub, R.ub)
+    assert len(costs) == 2 * n
+    for t in range(n):
+        assert np.array_equal(costs[2 * t], Vn[:, t])
+        assert np.array_equal(costs[2 * t + 1], -Vn[:, t])
+
+
+def test_separable_without_rows_solves_no_lp():
+    # over a bare box no LP beats interval arithmetic: none is solved, and
+    # the secant spans the direction's box range (plus the margin)
+    rng = np.random.default_rng(44)
+    n = 4
+    B = rand_sym(rng, n)
+    prob = box_problem(-B @ B - np.eye(n), lb=-np.ones(n), ub=np.ones(n))
+    R = restrict(prob, prob.lb, prob.ub)
+    calls = []
+
+    def record(lp, costs):
+        calls.append(costs)
+        return qpsolve.solve_lps(lp, costs)
+
+    model = build_separable_relaxation(R, record)
+    assert calls == []
+    w, V = linalg.sym_eig_all(R.Q)
+    neg = np.flatnonzero(w < -ZERO_EIG_TOL)
+    assert neg.size == n
+    L, U = np.empty(n), np.empty(n)
+    for t in range(n):
+        v = V[:, neg[t]]
+        lo = float(np.minimum(v * R.lb, v * R.ub).sum())
+        hi = float(np.maximum(v * R.lb, v * R.ub).sum())
+        margin = 1e-7 * (1.0 + abs(lo) + abs(hi))
+        L[t], U[t] = lo - margin, hi + margin
+    lam = w[neg]
+    assert np.array_equal(model.q, R.q + V[:, neg] @ (lam * (L + U)))
+    assert model.offset == R.offset - float(lam @ (L * U))
 
 
 def test_separable_objective_is_the_secant_formula():
@@ -624,10 +685,10 @@ def test_separable_objective_is_the_secant_formula():
     R = restrict(prob, np.array([0.0, 0.0, 0.5, 0.0]), np.array([1.0, 1.0, 0.5, 1.0]))
     lps = []
 
-    def record(lp):
-        sol = qpsolve.solve_lp(lp)
-        lps.append((lp.q, sol.bound))
-        return sol
+    def record(lp, costs):
+        sols = qpsolve.solve_lps(lp, costs)
+        lps.extend((q, sol.bound) for q, sol in zip(costs, sols))
+        return sols
 
     model = build_separable_relaxation(R, record)
     assert model.nvar == 3 and model.A.shape == (1, 3)
@@ -664,7 +725,7 @@ def test_separable_underestimates():
     for _ in range(8):
         n = int(rng.integers(2, 5))
         prob = box_problem(rand_sym(rng, n), q=rng.uniform(-2, 2, n))
-        model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
+        model = build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lps)
         for _ in range(20):
             x = rng.uniform(prob.lb, prob.ub)
             assert relaxed_objective_at(model, x) <= problem.evaluate_objective(
@@ -677,7 +738,7 @@ def test_separable_infeasible_node_raises():
         [[0.0, 1.0], [1.0, 0.0]], A=[[1.0, 1.0]], b=[3.0], lb=[0.0, 0.0], ub=[1.0, 1.0]
     )
     with pytest.raises(NodeInfeasible):
-        build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lp)
+        build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lps)
 
 
 def test_separable_tighter_than_interval_arithmetic():
@@ -690,7 +751,7 @@ def test_separable_tighter_than_interval_arithmetic():
         ub=[1.0, 1.0],
     )
     R = restrict(prob, prob.lb, prob.ub)
-    _, L, U = secant_range(R, build_separable_relaxation(R, qpsolve.solve_lp))
+    _, L, U = secant_range(R, build_separable_relaxation(R, qpsolve.solve_lps))
     # direction (1,-1)/sqrt(2): over x1 = 0.25, range is [(0.25-1), 0.25]/sqrt(2)
     r = 1.0 / np.sqrt(2.0)
     assert L == pytest.approx(-0.75 * r, abs=1e-6)
@@ -706,16 +767,18 @@ def test_separable_direction_bounds_come_from_certified_bound():
     R = restrict(prob, prob.lb, prob.ub)
     r = 1.0 / np.sqrt(2.0)
 
-    def truncated(lp):
-        sol = qpsolve.solve_lp(lp)
-        return dataclasses.replace(sol, status=qpsolve.STATUS_MAXITER, x=None)
+    def truncated(lp, costs):
+        return [
+            dataclasses.replace(sol, status=qpsolve.STATUS_MAXITER, x=None)
+            for sol in qpsolve.solve_lps(lp, costs)
+        ]
 
     _, L, U = secant_range(R, build_separable_relaxation(R, truncated))
     assert L == pytest.approx(-0.75 * r, abs=1e-6)
     assert U == pytest.approx(0.25 * r, abs=1e-6)
 
-    def uncertified(lp):
-        return dataclasses.replace(qpsolve.solve_lp(lp), bound=-math.inf)
+    def uncertified(lp, costs):
+        return [dataclasses.replace(sol, bound=-math.inf) for sol in qpsolve.solve_lps(lp, costs)]
 
     _, L, U = secant_range(R, build_separable_relaxation(R, uncertified))
     assert L == pytest.approx(-r, abs=1e-6)
