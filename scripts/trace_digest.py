@@ -16,12 +16,20 @@ The instances are the criterion-1 CBQP grid (one per (n, density) cell), a
 few BoxQP and integer-with-equality (eiqp) instances, and one CBQP whose
 cardinality row is written as two inequality rows, since no generated family
 has any: its QPs are the ones whose active-set phase 1 is a HiGHS LP.  The
-auto and mccormick modes also reach McCormick LPs (HiGHS).  Two revisions compute the same traces and
-bounds exactly when their outputs are identical:
+auto and mccormick modes also reach McCormick LPs (HiGHS).  Two revisions
+compute the same traces and bounds exactly when their outputs are identical:
 
     python3 scripts/trace_digest.py > new.csv && diff old.csv new.csv
+
+With `--reverse` each table solves its instances in reverse order and
+prints its rows in the usual order, so the output is the same unless a
+result depends on what the process solved before it (HiGHS keeps one
+instance per thread):
+
+    python3 scripts/trace_digest.py --reverse | cmp new.csv -
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -80,25 +88,52 @@ def truncated_root_bound(problem, mode: str) -> float:
     return qpsolve.solve_convex_qp(model, max_iter=TRUNCATED_MAX_ITER).bound
 
 
+def solve_rows(problem):
+    rows = []
+    for mode in MODES:
+        res = solve(problem, SolverConfig(relaxation=mode))
+        text = "".join(json.dumps(_jsonify(rec)) + "\n" for rec in res.trace)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        rows.append(f"{problem.name},{mode},{res.status},{res.nodes},{res.f_ubd!r},{digest}")
+    return rows
+
+
+def root_rows(problem):
+    return [
+        f"{problem.name},{method.lower()},{root_relaxation_bound(problem, method.lower())!r}"
+        for method in RELAXATION_COLUMNS
+    ]
+
+
+def truncated_rows(problem):
+    return [
+        f"{problem.name},{mode},{TRUNCATED_MAX_ITER},{truncated_root_bound(problem, mode)!r}"
+        for mode in ("eig", "geig", "eigz")
+    ]
+
+
+# each table's header and the function that makes its rows for one instance
+TABLES = (
+    ("instance,mode,status,nodes,f_ubd,trace_sha256", solve_rows),
+    ("instance,root_method,bound", root_rows),
+    ("instance,root_method,max_iter,bound", truncated_rows),
+)
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--reverse", action="store_true",
+        help="solve the instances of each table in reverse order; the rows print in the usual order",
+    )
+    args = parser.parse_args()
     problems = instances()
-    print("instance,mode,status,nodes,f_ubd,trace_sha256")
-    for problem in problems:
-        for mode in MODES:
-            res = solve(problem, SolverConfig(relaxation=mode))
-            text = "".join(json.dumps(_jsonify(rec)) + "\n" for rec in res.trace)
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            print(f"{problem.name},{mode},{res.status},{res.nodes},{res.f_ubd!r},{digest}", flush=True)
-    print("instance,root_method,bound")
-    for problem in problems:
-        for method in RELAXATION_COLUMNS:
-            bound = root_relaxation_bound(problem, method.lower())
-            print(f"{problem.name},{method.lower()},{bound!r}", flush=True)
-    print("instance,root_method,max_iter,bound")
-    for problem in problems:
-        for mode in ("eig", "geig", "eigz"):
-            bound = truncated_root_bound(problem, mode)
-            print(f"{problem.name},{mode},{TRUNCATED_MAX_ITER},{bound!r}", flush=True)
+    indices = range(len(problems))
+    for header, rows_of in TABLES:
+        rows = {i: rows_of(problems[i]) for i in (indices[::-1] if args.reverse else indices)}
+        print(header)
+        for i in indices:
+            print("\n".join(rows[i]), flush=True)
     return 0
 
 

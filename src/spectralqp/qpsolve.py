@@ -1,13 +1,17 @@
 """Convex QP and LP solvers for relaxation subproblems.
 
 Two engines, one per problem class.  Linear models go to HiGHS dual
-simplex, whose compiled extension is loaded from scipy's folder on the first
-LP solve (linalg.load_scipy_extension), without importing scipy.
-solve_lps solves one model for a list of costs (the separable direction
-LPs of a node) on one HiGHS instance, clearing its solver state before each
-further run, so that each result is bitwise that of a fresh solve;
-solve_lp is its one-cost case (the McCormick node LPs).  A claimed
-infeasibility counts only once its dual ray passes the Farkas test.
+simplex (Huangfu and Hall, Math. Prog. Comp. 2018), whose compiled
+extension is loaded from scipy's folder on the first LP solve
+(linalg.load_scipy_extension), without importing scipy.  Each thread keeps
+one HiGHS instance, its options set once and HiGHS presolve off (on node
+LPs of a few dozen columns it cost more than it saved), and every run
+clears that instance and passes it the whole LP, so that no basis or
+factor of an earlier run is left behind and each result is bitwise that of
+a fresh solve on a new instance.  solve_lps solves one model for a list of
+costs (the separable direction LPs of a node); solve_lp is its one-cost
+case (the McCormick node LPs).  A claimed infeasibility counts only once
+its dual ray passes the Farkas test.
 
 Quadratic models go to solve_convex_qp, a primal active-set method in
 bounded-variable form (Nocedal and Wright, Numerical Optimization, 2006,
@@ -77,6 +81,16 @@ _EPS_PINF = 1e-7       # infeasibility certificate threshold (relative)
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 _highs_core = None     # the extension module, once _highs() has loaded it
 _highs_lock = threading.Lock()
+_highs_local = threading.local()   # per thread: .core, the module, and .highs, its instance
+# fixed for every run; HiGHS presolve costs more than it saves on node LPs
+# of a few dozen columns
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("threads", 1),
+    ("solver", "simplex"),
+    ("simplex_strategy", 1),       # dual simplex
+    ("presolve", "off"),
+)
 
 
 @dataclass(eq=False)
@@ -504,6 +518,18 @@ def _highs():
     return _highs_core
 
 
+def _instance(hc):
+    """This thread's HiGHS instance of the extension module hc, made with
+    _HIGHS_OPTIONS on the thread's first LP solve, and made anew when _highs()
+    hands over another module."""
+    if getattr(_highs_local, "core", None) is not hc:
+        highs = hc._Highs()
+        for name, value in _HIGHS_OPTIONS:
+            highs.setOptionValue(name, value)
+        _highs_local.core, _highs_local.highs = hc, highs
+    return _highs_local.highs
+
+
 def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
     """Solve a linear model (model.Q absent or zero) with HiGHS dual simplex:
     solve_lps with the model's own cost."""
@@ -513,17 +539,17 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
 def solve_lps(model: ConvexQpModel, costs, deadline: float | None = None) -> list[QpSolution]:
     """Solve the linear model (model.Q absent or zero) once for each cost
     vector in `costs`, in order, with HiGHS dual simplex: one interval
-    presolve and one HiGHS model, whose cost is changed and whose solver
-    state is cleared before each further run, so that every run is cold and
-    its result bitwise that of a fresh solve of replace(model, q=cost).
-    `deadline` (a time.monotonic() value) becomes HiGHS's time limit for
-    each run and `iterations` counts simplex iterations.  Statuses: optimal,
-    infeasible (certified by _interval_presolve, or by HiGHS's dual ray
-    passing the Farkas test, after which the remaining costs need no run:
-    the region is the same), else max_iter.  `bound` is +inf for an
-    infeasible model, -inf for an infeasibility HiGHS claims but cannot
-    certify, else _bound at HiGHS's multipliers, which with Q absent is
-    their weak-duality value."""
+    presolve and one HiGHS LP, which each run passes whole, with that run's
+    cost, to the thread's cleared instance, so that every run is cold and
+    its result bitwise that of a fresh solve of replace(model, q=cost) on a
+    new instance.  `deadline` (a time.monotonic() value) becomes HiGHS's
+    time limit for each run and `iterations` counts simplex iterations.
+    Statuses: optimal, infeasible (certified by _interval_presolve, or by
+    HiGHS's dual ray passing the Farkas test, after which the remaining
+    costs need no run: the region is the same), else max_iter.  `bound` is
+    +inf for an infeasible model, -inf for an infeasibility HiGHS claims but
+    cannot certify, else _bound at HiGHS's multipliers, which with Q absent
+    is their weak-duality value."""
     if model.Q is not None and np.any(model.Q):
         raise ValueError("an LP solve requires a linear objective")
     models = [model if cost is model.q else replace(model, q=cost) for cost in costs]
@@ -545,30 +571,28 @@ def solve_lps(model: ConvexQpModel, costs, deadline: float | None = None) -> lis
     mat.value_ = M[rows, cols]
     lp = hc.HighsLp()
     lp.num_col_, lp.num_row_ = n, m + p
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = models[0].q, model.lb, model.ub
+    lp.col_lower_, lp.col_upper_ = model.lb, model.ub
     lp.row_lower_, lp.row_upper_ = row_lo, row_hi
     lp.a_matrix_ = mat
-    highs = hc._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("threads", 1)
-    highs.setOptionValue("solver", "simplex")
-    highs.setOptionValue("simplex_strategy", 1)        # dual simplex
-    highs.passModel(lp)
+    highs = _instance(hc)
     sols: list[QpSolution] = []
-    for j, sub in enumerate(models):
+    for sub in models:
         if sols and sols[-1].status == STATUS_INFEASIBLE:
             sols.append(_infeasible(sub))
             continue
-        if j:
-            # a warm re-solve from the last basis moves bounds in the 11th digit
-            highs.changeColsCost(n, np.arange(n, dtype=np.int32), sub.q)
-            highs.clearSolver()
-        if deadline is not None:
-            # HiGHS measures its time limit on a run clock that adds up
-            # over the runs of one instance
-            highs.setOptionValue(
-                "time_limit", highs.getRunTime() + max(deadline - time.monotonic(), 0.0)
-            )
+        # the whole model passed to a cleared instance leaves nothing of an
+        # earlier run behind; without HiGHS presolve, a cost change and a
+        # cleared solver on the kept model do not give a fresh solve's pivots
+        lp.col_cost_ = sub.q
+        highs.clearModel()
+        highs.passModel(lp)
+        # options persist between runs, and HiGHS measures its time limit
+        # on a run clock that adds up over the runs of one instance
+        highs.setOptionValue(
+            "time_limit",
+            math.inf if deadline is None
+            else highs.getRunTime() + max(deadline - time.monotonic(), 0.0),
+        )
         highs.run()
         sols.append(_lp_solution(hc, highs, sub, M, row_lo, row_hi))
     return sols

@@ -6,6 +6,7 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 import time
 import types
 
@@ -542,6 +543,120 @@ def test_solve_lps_time_limit_counts_from_each_run(monkeypatch):
     assert len(seen) == 3 and seen[0][0] == 0.0 < seen[1][0] < seen[2][0]
     for ran, limit, after in seen:
         assert deadline - after <= limit - ran <= 60.0
+
+
+def _fresh_highs(monkeypatch):
+    """Hand the next LP solves a brand-new HiGHS instance: _highs() returns
+    a module of its own, for which the thread has no instance yet."""
+    core = qpsolve._highs()
+    fake = types.ModuleType("fresh_highs")
+    fake.__dict__.update(vars(core))
+    monkeypatch.setattr(qpsolve, "_highs", lambda: fake)
+
+
+def test_lp_results_do_not_depend_on_what_the_instance_solved_before(monkeypatch):
+    # the thread's instance first solves an LP of other dimensions, an
+    # infeasible one and one cut off by a past deadline; the fixed model
+    # then gets the bits of a brand-new instance, for one cost and for many
+    model = _root_mccormick(n=12, k=3)
+    costs = [model.q, -model.q, np.random.default_rng(7).uniform(-1.0, 1.0, model.nvar)]
+    core = qpsolve._highs()
+    other = _root_mccormick()
+    assert other.nvar != model.nvar
+    assert qpsolve.solve_lp(other).status == qpsolve.STATUS_OPTIMAL
+    # rows that each pass the interval test; only HiGHS's dual ray proves them empty
+    empty = make_model(
+        None, [1.0, -1.0, 0.5], A=[[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], b=[1.5, 0.2],
+        lb=np.zeros(3), ub=np.ones(3), kind="lp",
+    )
+    assert qpsolve.solve_lp(empty).status == qpsolve.STATUS_INFEASIBLE
+    assert qpsolve.solve_lp(other, deadline=time.monotonic() - 1.0).status == qpsolve.STATUS_MAXITER
+    instance = qpsolve._instance(core)
+    one = qpsolve.solve_lp(model)
+    many = qpsolve.solve_lps(model, costs)
+    assert qpsolve._instance(core) is instance
+    refs = []
+    for cost in costs:
+        _fresh_highs(monkeypatch)
+        refs.append(qpsolve.solve_lp(dataclasses.replace(model, q=cost)))
+    assert refs[0].status == qpsolve.STATUS_OPTIMAL
+    _assert_same_bits(one, refs[0])
+    for sol, ref in zip(many, refs):
+        _assert_same_bits(sol, ref)
+
+
+def test_lp_deadline_does_not_outlive_its_solve(monkeypatch):
+    # options persist on the thread's instance: a solve without a deadline
+    # after one past its deadline must run to the end, as a fresh one does
+    model = _root_mccormick()
+    assert qpsolve.solve_lp(model, deadline=time.monotonic() - 1.0).status == qpsolve.STATUS_MAXITER
+    sol = qpsolve.solve_lp(model)
+    assert sol.status == qpsolve.STATUS_OPTIMAL
+    _fresh_highs(monkeypatch)
+    _assert_same_bits(sol, qpsolve.solve_lp(model))
+
+
+def test_threads_solving_at_once_get_the_serial_bits(monkeypatch):
+    # each thread runs its LPs on its own instance: threads (more than
+    # cores) that have all passed their LP before any runs (each run waits
+    # for the others') get the bits of one thread solving alone
+    lps = [
+        lp_costs
+        for family, n, seed in (("cbqp", 6, 1), ("boxqp", 5, 2), ("eiqp", 4, 3), ("cbqp", 8, 4))
+        for lp_costs in _small_lps(family, n, seed, 0.0)
+    ]
+    serial = [qpsolve.solve_lps(lp, costs) for lp, costs in lps]
+    core = qpsolve._highs()
+    all_passed = threading.Barrier(3, timeout=30)
+    one_run_at_a_time = threading.Lock()
+
+    class Rendezvous:
+        def __init__(self):
+            self._highs = core._Highs()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def run(self):
+            all_passed.wait()
+            with one_run_at_a_time:
+                return self._highs.run()
+
+    fake = types.ModuleType("rendezvous_highs")
+    fake.__dict__.update(vars(core))
+    fake._Highs = Rendezvous
+    monkeypatch.setattr(qpsolve, "_highs", lambda: fake)
+    got: list[dict] = [{}, {}, {}]
+    errors = []
+
+    def worker(slot, order):
+        # every order holds every LP, so the threads make as many runs
+        try:
+            for i in order:
+                got[slot][i] = qpsolve.solve_lps(*lps[i])
+        except Exception as exc:    # noqa: BLE001 - reported below
+            errors.append(exc)
+            all_passed.abort()
+
+    order = list(range(len(lps)))
+    orders = (order, order[::-1], order[3:] + order[:3])
+    threads = [threading.Thread(target=worker, args=arg) for arg in enumerate(orders)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for results in got:
+        assert sorted(results) == order
+        for i, sols in results.items():
+            assert len(sols) == len(serial[i])
+            for sol, ref in zip(sols, serial[i]):
+                _assert_same_bits(sol, ref)
 
 
 def test_reduced_inconsistent_equalities():
