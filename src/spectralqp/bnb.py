@@ -10,12 +10,14 @@ is tested again when that improved the incumbent, and is otherwise branched
 into copies of its box with one variable's range edited: binary variables
 fixed (their range made a point) through the spectral rules, general
 integers split by most-fractional, continuous nonconvex variables narrowed
-by envelope-violation spatial splits.  One eigendecomposition of the node's
-Q decides its shift: convex nodes (Q restricted PSD, or PSD on the equality
-nullspace) skip the shift and solve the plain relaxation, and every other
-node takes its mode's shift.  The nullspace test runs only where Cauchy
-interlacing, lambda_min(Z'QZ) <= lambda_{1+m}(Q) for m rows, leaves it
-open.  The eigz pencils (Q, I + delta A'A), also the QP class of AUTO, share
+by envelope-violation spatial splits.  A rule with no candidate returns
+None and a fallback decides (most-fractional, then the first free integer;
+a bisection of the widest range after the spatial rule); no exception is
+caught.  One eigendecomposition of the node's Q decides its shift: convex
+nodes (Q restricted PSD, or PSD on the equality nullspace) skip the shift
+and solve the plain relaxation, and every other node takes its mode's
+shift.  The nullspace test runs only where Cauchy interlacing,
+lambda_min(Z'QZ) <= lambda_{1+m}(Q) for m rows, leaves it open.  The eigz pencils (Q, I + delta A'A), also the QP class of AUTO, share
 one delta per run, found by the geometric search on the root's data before
 the first node.
 
@@ -29,11 +31,12 @@ does not prove the node empty): spectral QPs are solved by the active-set
 method of qpsolve, McCormick LPs exactly by HiGHS dual simplex.  Every
 optimal node solve is checked by qpsolve.verify_kkt; stats["kkt_discards"]
 counts the failures and stats["max_accepted_kkt"] the worst residual that
-passed.  A node whose solve certifies nothing (a NaN bound, or no LP past
-the deadline) keeps its parent bound.  Relaxation solves stop at the time
-limit too (the QP at its next active-set iteration, the LP through HiGHS's
-own time limit), returning whatever bound they have certified by then, and
-no LP starts past it.
+passed.  A bound of +inf proves the node empty and closes it; a node whose
+solve certifies nothing (a NaN bound, or no LP past the deadline) keeps its
+parent bound.  Relaxation solves stop at the time limit too (the QP at its
+next active-set iteration, the LP through HiGHS's own time limit),
+returning whatever bound they have certified by then, and no LP starts
+past it.
 
 Once an incumbent exists, a branched node's children inherit the box that
 reduced-cost tightening proves (Ryoo and Sahinidis, JOGO 1996): from the
@@ -61,7 +64,6 @@ from .relaxation import (
     CONVEX_TOL,
     KIND_NONE,
     ConvexQpModel,
-    NodeInfeasible,
     SpectralShift,
     build_mccormick_relaxation,
     build_spectral_relaxation,
@@ -318,15 +320,14 @@ class _Engine:
         return shift_for_mode(self.config.relaxation, R.Q, R.A, self.root_delta, pair)
 
     def _accept(self, model, sol):
-        """The certified bound of a relaxation solve of `model` (None when it
-        has none) and its point over the node's free variables; raises
-        NodeInfeasible when the solve certified the node empty.  A solve
-        with a finite bound joins `certified`, whose slopes tighten the
-        node's children.  stats["kkt_discards"] counts optimal solves whose
-        `verify_kkt` failed; their bound is still used, since it is
-        certified without the KKT check."""
+        """The certified bound of a relaxation solve of `model` (+inf for an
+        empty node, None when it has none) and its point over the node's
+        free variables.  A solve with a finite bound joins `certified`,
+        whose slopes tighten the node's children.  stats["kkt_discards"]
+        counts optimal solves whose `verify_kkt` failed; their bound is
+        still used, since it is certified without the KKT check."""
         if sol.bound == math.inf:
-            raise NodeInfeasible("relaxation certified the node empty")
+            return math.inf, None
         if sol.status == qpsolve.STATUS_OPTIMAL:
             rep = qpsolve.verify_kkt(model, sol)
             if rep.passed:
@@ -363,8 +364,8 @@ class _Engine:
 
     def lower_bound(self, R: ConvexQpModel):
         """Bound one node, given its model R from `restrict`.  Returns
-        (bound, x_relax, shift, kind_used); raises NodeInfeasible when any
-        relaxation certifies emptiness."""
+        (bound, x_relax, shift, kind_used): bound is +inf when a relaxation
+        certifies the node empty, None when none certifies anything."""
         cfg = self.config
         self.certified = []
         if cfg.relaxation != MODE_AUTO:
@@ -374,7 +375,8 @@ class _Engine:
             bound, x = self._solve_lp(R)
             return bound, x, None, "mccormick"
 
-        # AUTO: counters advance every node, solve whatever is due
+        # AUTO: counters advance at every node not proved empty; solve
+        # whatever is due
         sel = self.selection
         since_lp, since_qp = sel.since_lp + 1, sel.since_qp + 1
         due_lp = since_lp >= sel.omega_lp
@@ -386,9 +388,11 @@ class _Engine:
         if due_qp:
             f_qp, x_qp, shift, kind = self._solve_qp(R, self._shift(R))
             since_qp = 0
-        if due_lp:
+        if due_lp and f_qp != math.inf:
             f_lp, x_lp = self._solve_lp(R)
             since_lp = 0
+        if math.inf in (f_qp, f_lp):    # empty: the selection stays as it was
+            return math.inf, None, shift, kind
         if f_qp is not None and f_lp is not None:
             sel = dynamic_selection_update(sel, f_lp, f_qp)
         self.selection = replace(sel, since_lp=since_lp, since_qp=since_qp)
@@ -444,20 +448,16 @@ def _branch_children(problem, config, structure, entry, free, R, x_rel, shift):
         idx = None
         binary = structure.binary
         if binary and free.size >= 2 and rule != "fractional":
-            try:
-                if rule == "exact":
-                    idx = branching.spectral_branch_exact(R.Q, free)
-                elif rule == "gct":
-                    idx = branching.spectral_branch_gct(R.Q, free)
-                elif shift is not None and shift.alpha > 0:
-                    idx = branching.spectral_branch_approx(shift, free)
-            except ValueError:
-                idx = None
+            if rule == "exact":
+                idx = branching.spectral_branch_exact(R.Q, free)
+            elif rule == "gct":
+                idx = branching.spectral_branch_gct(R.Q, free)
+            elif shift is not None and shift.alpha > 0:
+                idx = branching.spectral_branch_approx(shift, free)
         if idx is None:
-            try:
-                idx = branching.most_fractional_branch(free, x_rel, problem.integers)
-            except ValueError:
-                idx = free_int[0]
+            idx = branching.most_fractional_branch(free, x_rel, problem.integers)
+        if idx is None:
+            idx = free_int[0]
         idx = int(idx)
         lo, up = lb[idx], ub[idx]
         if binary or (lo == 0.0 and up == 1.0):
@@ -471,13 +471,13 @@ def _branch_children(problem, config, structure, entry, free, R, x_rel, shift):
 
     # continuous: spatial split at the relaxation point
     alpha = shift.alpha if shift is not None else 0.0
-    try:
-        t, split = branching.spatial_branch(R.lb, R.ub, x_rel, R.Q, alpha=alpha)
-    except ValueError:
+    pick = branching.spatial_branch(R.lb, R.ub, x_rel, R.Q, alpha=alpha)
+    if pick is None:
         # no envelope slack at x_rel (a box vertex, say) says nothing about
         # the bound: bisect the widest variable
         t = int(np.argmax(R.ub - R.lb))
-        split = 0.5 * (R.lb[t] + R.ub[t])
+        pick = t, 0.5 * (R.lb[t] + R.ub[t])
+    t, split = pick
     i = int(free[t])
     return [_child(lb, ub, i, lb[i], split), _child(lb, ub, i, split, ub[i])], i
 
@@ -539,7 +539,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         return False
 
     while heap:
-        if cfg.time_limit is not None and time.monotonic() - t0 > cfg.time_limit:
+        if eng.deadline is not None and time.monotonic() > eng.deadline:
             status = STATUS_TIME_LIMIT
             break
         if cfg.node_limit is not None and nodes_done >= cfg.node_limit:
@@ -574,9 +574,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             close(entry, entry.bound, None, "fathom_tiny_box")
             continue
 
-        try:
-            bound, x_rel, shift, kind = eng.lower_bound(R)
-        except NodeInfeasible:
+        bound, x_rel, shift, kind = eng.lower_bound(R)
+        if bound == math.inf:
             close(entry, None, None, "fathom_infeasible")
             continue
         node_bound = entry.bound if bound is None else max(entry.bound, bound)

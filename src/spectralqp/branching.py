@@ -106,28 +106,31 @@ def branching_gap_metric(Qb, i_x: int) -> float:
     return float(np.clip(100.0 * (float(lams[i_x]) - best) / denom, 0.0, 100.0))
 
 
-def spatial_branch(lb, ub, x_relax, Qb, alpha: float = 0.0) -> tuple[int, float]:
+def spatial_branch(lb, ub, x_relax, Qb, alpha: float = 0.0) -> tuple[int, float] | None:
     """Continuous branching over the node's free variables, whose box is
     [lb, ub]: pick the variable with the largest weighted envelope violation
     |Q_ii + alpha| * ((l+u)x - lu - x^2) at the relaxation point, split
-    there, clamped 20% inside its range.  Returns (local index, split)."""
+    there, clamped 20% inside its range.  Returns (local index, split), or
+    None when no variable has envelope slack at the point (a box vertex,
+    say), which leaves the choice to the caller."""
     x = np.asarray(x_relax, dtype=float)
     Qb = np.asarray(Qb, dtype=float)
     viol = (lb + ub) * x - lb * ub - x * x
     scores = np.abs(np.diag(Qb) + alpha) * viol
     i = int(np.argmax(scores))
     if scores[i] <= 0.0:
-        raise ValueError("no variable has envelope slack: box is at granularity")
+        return None
     w = ub[i] - lb[i]
     return i, float(np.clip(x[i], lb[i] + SPLIT_CLAMP * w, ub[i] - SPLIT_CLAMP * w))
 
 
-def most_fractional_branch(free, x_relax, integers) -> int:
+def most_fractional_branch(free, x_relax, integers) -> int | None:
     """Fallback integer rule: of the free variables `free` (original
     indices, x_relax over them in that order), the integer one whose
-    relaxation value sits deepest between its neighboring integers."""
+    relaxation value sits deepest between its neighboring integers; None
+    when every free integer is within FRACTIONAL_TOL of an integer."""
     x = np.asarray(x_relax, dtype=float)
-    best_i = -1
+    best_i = None
     best_frac = FRACTIONAL_TOL
     for local, orig in enumerate(free):
         if orig not in integers:
@@ -136,6 +139,4 @@ def most_fractional_branch(free, x_relax, integers) -> int:
         if frac > best_frac:
             best_frac = frac
             best_i = orig
-    if best_i < 0:
-        raise ValueError("relaxation point is integral: nothing to branch on")
     return best_i

@@ -46,7 +46,6 @@ from .problem import (
     parse_qplib,
 )
 from .relaxation import (
-    NodeInfeasible,
     build_mccormick_relaxation,
     build_separable_relaxation,
     build_spectral_relaxation,
@@ -105,24 +104,24 @@ def _load_instance(path: str) -> ProblemInstance:
 def root_relaxation_bound(problem: ProblemInstance, method: str) -> float:
     """Root-node lower bound from one relaxation: the certified `bound` of
     its solve (finite for every QP, and for every LP HiGHS returns
-    multipliers for), +inf when it certifies infeasibility, nan when it
-    certifies nothing."""
+    multipliers for), +inf when it certifies infeasibility (the separable
+    builder's None, when a direction LP does), nan when it certifies
+    nothing."""
     R = restrict(problem, problem.lb, problem.ub)
     method = method.lower()
-    try:
-        if method in ("eig", "geig", "eigz"):
-            model = build_spectral_relaxation(R, shift_for_mode(method, R.Q, R.A))
-            sol = qpsolve.solve_convex_qp(model)
-        elif method == "mccormick":
-            model = build_mccormick_relaxation(R)
-            sol = qpsolve.solve_lp(model)
-        elif method == "separable":
-            model = build_separable_relaxation(R, qpsolve.solve_lps)
-            sol = qpsolve.solve_convex_qp(model)
-        else:
-            raise ValueError(f"unknown relaxation {method!r}")
-    except NodeInfeasible:
-        return math.inf
+    if method in ("eig", "geig", "eigz"):
+        model = build_spectral_relaxation(R, shift_for_mode(method, R.Q, R.A))
+        sol = qpsolve.solve_convex_qp(model)
+    elif method == "mccormick":
+        model = build_mccormick_relaxation(R)
+        sol = qpsolve.solve_lp(model)
+    elif method == "separable":
+        model = build_separable_relaxation(R, qpsolve.solve_lps)
+        if model is None:
+            return math.inf
+        sol = qpsolve.solve_convex_qp(model)
+    else:
+        raise ValueError(f"unknown relaxation {method!r}")
     return math.nan if sol.bound == -math.inf else sol.bound
 
 

@@ -6,12 +6,12 @@ extension is loaded from scipy's folder on the first LP solve
 (linalg.load_scipy_extension), without importing scipy.  Each thread keeps
 one HiGHS instance, its options set once and HiGHS presolve off (on node
 LPs of a few dozen columns it cost more than it saved), and every run
-clears that instance and passes it the whole LP, so that no basis or
-factor of an earlier run is left behind and each result is bitwise that of
-a fresh solve on a new instance.  solve_lps solves one model for a list of
-costs (the separable direction LPs of a node); solve_lp is its one-cost
-case (the McCormick node LPs).  A claimed infeasibility counts only once
-its dual ray passes the Farkas test.
+clears that instance and passes it the whole LP as arrays (passModel's
+array form), so that no basis or factor of an earlier run is left behind
+and each result is bitwise that of a fresh solve on a new instance.
+solve_lps solves one model for a list of costs (the separable direction
+LPs of a node); solve_lp is its one-cost case (the McCormick node LPs).  A
+claimed infeasibility counts only once its dual ray passes the Farkas test.
 
 Quadratic models go to solve_convex_qp, a primal active-set method in
 bounded-variable form (Nocedal and Wright, Numerical Optimization, 2006,
@@ -539,17 +539,18 @@ def solve_lp(model: ConvexQpModel, deadline: float | None = None) -> QpSolution:
 def solve_lps(model: ConvexQpModel, costs, deadline: float | None = None) -> list[QpSolution]:
     """Solve the linear model (model.Q absent or zero) once for each cost
     vector in `costs`, in order, with HiGHS dual simplex: one interval
-    presolve and one HiGHS LP, which each run passes whole, with that run's
-    cost, to the thread's cleared instance, so that every run is cold and
-    its result bitwise that of a fresh solve of replace(model, q=cost) on a
-    new instance.  `deadline` (a time.monotonic() value) becomes HiGHS's
-    time limit for each run and `iterations` counts simplex iterations.
-    Statuses: optimal, infeasible (certified by _interval_presolve, or by
-    HiGHS's dual ray passing the Farkas test, after which the remaining
-    costs need no run: the region is the same), else max_iter.  `bound` is
-    +inf for an infeasible model, -inf for an infeasibility HiGHS claims but
-    cannot certify, else _bound at HiGHS's multipliers, which with Q absent
-    is their weak-duality value."""
+    presolve and one set of LP arrays, which each run passes whole, with
+    that run's cost, to the thread's cleared instance (a pass HiGHS rejects
+    raises RuntimeError), so that every run is cold and its result bitwise
+    that of a fresh solve of replace(model, q=cost) on a new instance.
+    `deadline` (a time.monotonic() value) becomes HiGHS's time limit for
+    each run and `iterations` counts simplex iterations.  Statuses:
+    optimal, infeasible (certified by _interval_presolve, or by HiGHS's dual
+    ray passing the Farkas test, after which the remaining costs need no
+    run: the region is the same), else max_iter.  `bound` is +inf for an
+    infeasible model, -inf for an infeasibility HiGHS claims but cannot
+    certify, else _bound at HiGHS's multipliers, which with Q absent is
+    their weak-duality value."""
     if model.Q is not None and np.any(model.Q):
         raise ValueError("an LP solve requires a linear objective")
     models = [model if cost is model.q else replace(model, q=cost) for cost in costs]
@@ -560,20 +561,12 @@ def solve_lps(model: ConvexQpModel, costs, deadline: float | None = None) -> lis
     M = np.vstack([model.A, model.C])
     row_lo = np.concatenate([model.b, np.full(p, -math.inf)])
     row_hi = np.concatenate([model.b, model.d])
+    # the column-wise matrix; HiGHS takes its start and index arrays as int32,
+    # and an integrality array of any other length than n as an error
     cols, rows = np.nonzero(M.T)
-    # a fresh matrix assigned whole: edits to the fields of lp.a_matrix_ are
-    # lost, and the LP then solves without rows
-    mat = hc.HighsSparseMatrix()
-    mat.format_ = hc.MatrixFormat.kColwise
-    mat.num_col_, mat.num_row_ = n, m + p
-    mat.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    mat.index_ = rows
-    mat.value_ = M[rows, cols]
-    lp = hc.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m + p
-    lp.col_lower_, lp.col_upper_ = model.lb, model.ub
-    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
-    lp.a_matrix_ = mat
+    start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32)
+    index, value = rows.astype(np.int32), M[rows, cols]
+    integrality = np.zeros(n, dtype=np.int32)
     highs = _instance(hc)
     sols: list[QpSolution] = []
     for sub in models:
@@ -583,9 +576,14 @@ def solve_lps(model: ConvexQpModel, costs, deadline: float | None = None) -> lis
         # the whole model passed to a cleared instance leaves nothing of an
         # earlier run behind; without HiGHS presolve, a cost change and a
         # cleared solver on the kept model do not give a fresh solve's pivots
-        lp.col_cost_ = sub.q
         highs.clearModel()
-        highs.passModel(lp)
+        passed = highs.passModel(
+            n, m + p, index.size, int(hc.MatrixFormat.kColwise), int(hc.ObjSense.kMinimize), 0.0,
+            sub.q, model.lb, model.ub, row_lo, row_hi, start, index, value, integrality,
+        )
+        if passed == hc.HighsStatus.kError:
+            # the instance is left empty and would "solve" to kModelEmpty
+            raise RuntimeError("HiGHS rejected the LP passed to it")
         # options persist between runs, and HiGHS measures its time limit
         # on a run clock that adds up over the runs of one instance
         highs.setOptionValue(

@@ -43,10 +43,6 @@ KIND_EIGZ = "eigz"
 KIND_NONE = "none"          # node already convex, no shift applied
 
 
-class NodeInfeasible(Exception):
-    """The node's feasible set is provably empty."""
-
-
 @dataclass(eq=False)
 class ConvexQpModel:
     """min z' Q z + q' z + offset s.t. A z = b, C z <= d, lb <= z <= ub.
@@ -279,7 +275,7 @@ def build_mccormick_relaxation(R: ConvexQpModel) -> ConvexQpModel:
     return replace(R, kind="mccormick", Q=None, q=q, A=A, C=C, d=d, lb=xlb, ub=xub)
 
 
-def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel:
+def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel | None:
     """Map the node model R to its separable relaxation (Pardalos, Glick
     and Rosen, 1987): with Q = V diag(lambda) V', keep lambda_t (v_t'x)^2
     for positive eigenvalues, their sum being the PSD part of Q, and
@@ -292,8 +288,8 @@ def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel:
     v_1'x, -v_1'x, v_2'x, -v_2'x, ... from below over R's feasible set, and
     each certified `bound` tightens its end of the range.  Without rows no
     LP is solved: a certified bound lies below the box minimum, so it would
-    leave the range as it is.  Raises NodeInfeasible when a direction LP
-    certifies emptiness."""
+    leave the range as it is.  Returns None when a direction LP certifies
+    the node empty (a `bound` of +inf): there is nothing left to relax."""
     w, V = linalg.sym_eig_all(R.Q)
     pos = w > ZERO_EIG_TOL
     neg = np.where(w < -ZERO_EIG_TOL)[0]
@@ -306,7 +302,7 @@ def build_separable_relaxation(R: ConvexQpModel, lp_solve) -> ConvexQpModel:
         lp = replace(R, kind="direction_lp", Q=None, q=costs[0], offset=0.0)
         bounds = [sol.bound for sol in lp_solve(lp, costs)]
         if math.inf in bounds:
-            raise NodeInfeasible("direction bound LP certified an empty node")
+            return None
     L = np.empty(neg.size)
     U = np.empty(neg.size)
     for t in range(neg.size):

@@ -22,6 +22,7 @@ from spectralqp.bnb import (
 )
 from spectralqp.oracle import enumerate_binary, enumerate_box_kkt
 from spectralqp.problem import GeneratorSpec, generate_random, validate
+from spectralqp.relaxation import restrict
 
 ALL_MODES = ("eig", "geig", "eigz", "mccormick", "auto")
 
@@ -584,6 +585,32 @@ def test_auto_mode_runs_both_relaxations():
     assert res.stats["lp_solves"] >= 1
     assert 1.0 <= res.stats["selection_omega_lp"] <= 1000.0
     assert 1.0 <= res.stats["selection_omega_qp"] <= 10.0
+
+
+def test_empty_node_bound_is_inf_and_leaves_selection():
+    # more variables fixed to 1 than the cardinality row allows: the AUTO
+    # QP proves the node empty, so its LP never runs and the selection
+    # counters stay where they were
+    prob = generate_random(GeneratorSpec(family="cbqp", n=8, density=0.5, k=2, seed=1))
+    eng = bnb._Engine(prob, SolverConfig(), None)
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    lb[:3] = 1.0
+    before = eng.selection
+    assert eng.lower_bound(restrict(prob, lb, ub))[0] == math.inf
+    assert eng.stats["qp_solves"] == 1 and eng.stats["lp_solves"] == 0
+    assert eng.selection is before
+
+
+def test_branching_rule_failure_is_not_swallowed(monkeypatch):
+    # LinAlgError is a ValueError; a failing spectral rule must end the
+    # solve, not fall back to most-fractional
+    def broken(shift, free):
+        raise np.linalg.LinAlgError("eigenvector unavailable")
+
+    monkeypatch.setattr(bnb.branching, "spectral_branch_approx", broken)
+    prob = generate_random(GeneratorSpec(family="cbqp", n=8, density=0.5, k=2, seed=1))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(prob, SolverConfig(relaxation="eig"))
 
 
 def test_iteration_counters_sum_relaxation_solves(monkeypatch):

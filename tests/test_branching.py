@@ -192,8 +192,7 @@ def test_spatial_alpha_enters_weight():
 
 
 def test_spatial_rejects_cornered_point():
-    with pytest.raises(ValueError):
-        spatial_branch(np.zeros(2), np.ones(2), [0.0, 1.0], np.diag([-1.0, -1.0]))
+    assert spatial_branch(np.zeros(2), np.ones(2), [0.0, 1.0], np.diag([-1.0, -1.0])) is None
 
 
 def test_spatial_split_strictly_interior_random():
@@ -203,10 +202,10 @@ def test_spatial_split_strictly_interior_random():
         lb = rng.uniform(-2, 0, n)
         ub = lb + rng.uniform(0.1, 3, n)
         x = rng.uniform(lb, ub)
-        try:
-            i, split = spatial_branch(lb, ub, x, rand_sym(rng, n))
-        except ValueError:
+        pick = spatial_branch(lb, ub, x, rand_sym(rng, n))
+        if pick is None:
             continue
+        i, split = pick
         assert lb[i] < split < ub[i]
 
 
@@ -222,9 +221,8 @@ def test_most_fractional_skips_continuous():
     assert most_fractional_branch((0, 1), [0.5, 0.4], {1}) == 1
 
 
-def test_most_fractional_integral_errors():
-    with pytest.raises(ValueError):
-        most_fractional_branch((0, 1), [1.0, 2.0], {0, 1})
+def test_most_fractional_integral_returns_none():
+    assert most_fractional_branch((0, 1), [1.0, 2.0], {0, 1}) is None
 
 
 def test_most_fractional_respects_free_set():

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectralqp import bnb, linalg, oracle, problem, qpsolve
-from spectralqp.relaxation import ConvexQpModel, NodeInfeasible, relaxed_objective_at
+from spectralqp.relaxation import ConvexQpModel, relaxed_objective_at
 
 
 def make_model(Q, q, offset=0.0, A=None, b=None, C=None, d=None, lb=None, ub=None, **kw):
@@ -371,6 +371,30 @@ def test_lp_bogus_infeasibility_certifies_nothing(monkeypatch):
     sol = qpsolve.solve_lp(model)
     assert sol.status != qpsolve.STATUS_INFEASIBLE
     assert sol.bound == -math.inf
+
+
+def test_lp_rejected_by_highs_raises(monkeypatch):
+    # a rejected pass leaves the instance empty, which would "solve" to
+    # kModelEmpty; the LP must not come back as if it had been solved
+    model = make_model(None, [-1.0, -2.0], C=[[1.0, 1.0]], d=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    core = qpsolve._highs()
+
+    class Rejects:
+        def __init__(self):
+            self._highs = core._Highs()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def passModel(self, *args):
+            return core.HighsStatus.kError
+
+    fake = types.ModuleType("fake_highs")
+    fake.__dict__.update(vars(core))
+    fake._Highs = Rejects
+    monkeypatch.setattr(qpsolve, "_highs", lambda: fake)
+    with pytest.raises(RuntimeError, match="rejected"):
+        qpsolve.solve_lp(model)
 
 
 def test_lp_past_deadline_stops_with_a_valid_bound():
@@ -1154,11 +1178,8 @@ def _node_qps(family, n, seed, shrink, m):
         build_spectral_relaxation(R, shift_for_mode(mode, R.Q, R.A))
         for mode in ("eig", "geig", "eigz")
     ]
-    try:
-        models.append(build_separable_relaxation(R, qpsolve.solve_lps))
-    except NodeInfeasible:
-        pass
-    return models
+    models.append(build_separable_relaxation(R, qpsolve.solve_lps))
+    return [model for model in models if model is not None]
 
 
 @settings(max_examples=30, deadline=None)

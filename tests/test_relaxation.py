@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralqp import linalg, problem, qpsolve
+from spectralqp import cli, linalg, problem, qpsolve
 from spectralqp.relaxation import (
     ZERO_EIG_TOL,
     KIND_EIG,
@@ -17,7 +17,6 @@ from spectralqp.relaxation import (
     KIND_EIGZ_EXACT,
     KIND_GEIG,
     KIND_NONE,
-    NodeInfeasible,
     SpectralShift,
     build_mccormick_relaxation,
     build_separable_relaxation,
@@ -733,12 +732,12 @@ def test_separable_underestimates():
             ) + 1e-7
 
 
-def test_separable_infeasible_node_raises():
+def test_separable_infeasible_node_returns_none():
     prob = box_problem(
         [[0.0, 1.0], [1.0, 0.0]], A=[[1.0, 1.0]], b=[3.0], lb=[0.0, 0.0], ub=[1.0, 1.0]
     )
-    with pytest.raises(NodeInfeasible):
-        build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lps)
+    assert build_separable_relaxation(restrict(prob, prob.lb, prob.ub), qpsolve.solve_lps) is None
+    assert cli.root_relaxation_bound(prob, "separable") == math.inf
 
 
 def test_separable_tighter_than_interval_arithmetic():
